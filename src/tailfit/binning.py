@@ -55,9 +55,6 @@ class Histogram:
         """counts / (n * width); sums (times widths) to 1."""
         return self.counts / (self.n * self.widths)
 
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
-
     def to_csv(self) -> str:
         """CSV with header bin_left,bin_right,count,density."""
         dens = self.density()

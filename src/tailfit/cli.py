@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=int(os.environ.get("TAILFIT_THREADS", "1")),
-        help="worker cap (results are identical for any value)",
+        help="accepted for a future worker cap and currently unused",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -14,13 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
-from scipy.special import erfc, log_ndtr, ndtr, ndtri
+from scipy.special import erfc, log_ndtr, ndtr, ndtri, ndtri_exp
 
 from .binning import Histogram
-from .distributions import LognormalModel, PowerLawModel
+from .distributions import _LOG_SQRT_2PI, LognormalModel, PowerLawModel
 from .sample import DurationSample
-
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 DEFAULT_MIN_TAIL = 50
 DEFAULT_MAX_CANDIDATES = 1000
@@ -147,13 +145,65 @@ def ks_distance(sample, cdf) -> float:
     return float(np.max(np.maximum(np.abs(hi - f), np.abs(lo - f))))
 
 
-def _powerlaw_tail_ks(tail: np.ndarray, xmin: float, gamma: float) -> float:
-    # Tail EDF vs fitted cdf 1 - (x/xmin)**(1-gamma), vectorized.
-    m = tail.size
-    f = -np.expm1((1.0 - gamma) * np.log(tail / xmin))
-    hi = np.arange(1, m + 1) / m
-    lo = np.arange(0, m) / m
-    return float(np.max(np.maximum(np.abs(hi - f), np.abs(lo - f))))
+def _powerlaw_tail_ks(values, below, upto, xmin, gamma) -> float:
+    """KS distance between the EDF of a sorted tail and the power-law cdf
+    1 - (x/xmin)**(1-gamma).
+
+    The tail comes as runs of equal values: each run's value, and the
+    number of tail points below the run and up to its end (the last of
+    which is the tail size). Within a run the cdf is constant while the
+    EDF steps through consecutive levels, so the largest deviation sits at
+    one of the run's two ends, and the result equals the maximum over
+    every point bit for bit. Passing every point as a run of one is exact
+    too.
+    """
+    m = upto[-1]
+    f = -np.expm1((1.0 - gamma) * np.log(values / xmin))
+    return float(max(np.max(np.abs(below / m - f)), np.max(np.abs(upto / m - f))))
+
+
+# The cutoff scan bounds every candidate's KS from below on a grid made of
+# every KS_GRID_STRIDE-th run of equal values, KS_BOUND_BLOCK (candidate,
+# grid run) pairs at a time, so that memory does not grow with the sample
+# and each block stays in cache.
+KS_GRID_STRIDE = 16
+KS_BOUND_BLOCK = 1 << 15
+
+
+def _ks_lower_bounds(x, starts, ends, cand, m, gamma) -> np.ndarray:
+    """For each candidate cutoff x[cand[k]] with tail size m[k] and exponent
+    gamma[k], the largest of its exact KS terms at the grid runs in its
+    tail. These are the float operations of ``_powerlaw_tail_ks`` on a
+    subset of its runs, so each bound is at most the candidate's KS.
+    """
+    g_starts = starts[::KS_GRID_STRIDE]
+    g_ends = ends[::KS_GRID_STRIDE]
+    g_x = x[g_starts]
+    lb = np.empty(cand.size)
+    k0 = 0
+    while k0 < cand.size:
+        # Candidates ascend, so grid runs below the block's first cutoff
+        # lie below every cutoff of the block.
+        c0 = int(np.searchsorted(g_starts, cand[k0]))
+        k1 = min(cand.size, k0 + max(1, KS_BOUND_BLOCK // max(1, g_starts.size - c0)))
+        i = cand[k0:k1, None]
+        mk = m[k0:k1, None]
+        # Clipping leaves grid runs in a tail as they are (their ratio is
+        # >= 1 and their counts >= 0) and turns the others into zero terms.
+        e = np.maximum(g_x[c0:] / x[i], 1.0)
+        np.log(e, out=e)
+        np.multiply(1.0 - gamma[k0:k1, None], e, out=e)
+        np.expm1(e, out=e)  # the cdf is -e, and lo - (-e) == lo + e exactly
+        lo = np.maximum(g_starts[c0:] - i, 0) / mk
+        hi = np.maximum(g_ends[c0:] - i, 0) / mk
+        lo += e
+        hi += e
+        np.abs(lo, out=lo)
+        np.abs(hi, out=hi)
+        np.maximum(lo, hi, out=lo)
+        lb[k0:k1] = lo.max(axis=1, initial=0.0)
+        k0 = k1
+    return lb
 
 
 def fit_powerlaw_tail(
@@ -168,6 +218,15 @@ def fit_powerlaw_tail(
     n_tail >= min_tail, decimated to at most ``max_candidates``) is tried
     as the cutoff; the candidate minimizing the tail KS distance wins,
     ties broken toward the smallest cutoff (largest tail).
+
+    The scan is pruned but exact. The KS distance is a maximum over the
+    tail's runs of equal values; the same terms, taken on every
+    ``KS_GRID_STRIDE``-th run only, give each candidate a lower bound.
+    Candidates are then scored in full in ascending bound order until a
+    bound exceeds the best KS found: such a candidate, and every later
+    one, has a KS above the best and cannot win or tie. Bounds and full
+    scores share every float operation, so the winner, its KS and the
+    tie-break are those of scoring every candidate.
     """
     x = s.values
     n = x.size
@@ -193,29 +252,37 @@ def fit_powerlaw_tail(
     log_x = np.log(x)
     suffix = np.concatenate([np.cumsum(log_x[::-1])[::-1], [0.0]])
 
-    best = None
-    for i in candidates:
-        xmin_c = x[i]
-        m = n - i
-        denom = suffix[i] - m * log_x[i]
-        if denom <= 0:
-            continue  # all tail values equal the cutoff
-        gamma = 1.0 + m / denom
-        ks = _powerlaw_tail_ks(x[i:], xmin_c, gamma)
-        if best is None or ks < best[0]:
-            best = (ks, i, gamma)
-    if best is None:
+    m = n - candidates
+    denom = suffix[candidates] - m * log_x[candidates]
+    keep = denom > 0  # otherwise all tail values equal the cutoff
+    if not keep.any():
         raise DegenerateSampleError("no valid cutoff candidate")
-    ks, i, gamma = best
+    candidates, m = candidates[keep], m[keep]
+    gammas = 1.0 + m / denom[keep]
+
+    ends = np.append(first[1:], n)
+    run_x = x[first]
+    runs = np.searchsorted(first, candidates)
+    lb = _ks_lower_bounds(x, first, ends, candidates, m, gammas)
+    best_ks, best = np.inf, -1
+    for k in np.argsort(lb):
+        if lb[k] > best_ks:
+            break
+        r, i = runs[k], candidates[k]
+        ks = _powerlaw_tail_ks(run_x[r:], first[r:] - i, ends[r:] - i, run_x[r], gammas[k])
+        if ks < best_ks or (ks == best_ks and k < best):
+            best_ks, best = ks, k
+    i = int(candidates[best])
+    gamma = float(gammas[best])
     xmin_c = float(x[i])
     m = n - i
     loglik = m * math.log(gamma - 1.0) + m * (gamma - 1.0) * math.log(xmin_c) - gamma * suffix[i]
     return FitReport(
         family="powerlaw",
-        params=(float(gamma), xmin_c),
+        params=(gamma, xmin_c),
         xmin=xmin_c,
         n_tail=m,
-        ks=ks,
+        ks=best_ks,
         loglik=float(loglik),
         n_total=n,
     )
@@ -230,7 +297,7 @@ def _powerlaw_fit_at(x: np.ndarray, i: int, xmin: float, n: int) -> FitReport:
     if log_ratio_sum <= 0:
         raise DegenerateSampleError("tail has no spread above the cutoff")
     gamma = 1.0 + m / log_ratio_sum
-    ks = _powerlaw_tail_ks(tail, xmin, gamma)
+    ks = _powerlaw_tail_ks(tail, np.arange(m), np.arange(1, m + 1), xmin, gamma)
     loglik = m * math.log(gamma - 1.0) + m * (gamma - 1.0) * math.log(xmin) - gamma * float(
         np.sum(np.log(tail))
     )
@@ -401,9 +468,12 @@ def _draw_tail(model, fit: FitReport, k: int, rng: np.random.Generator) -> np.nd
         return model.quantile(u)
     if fit.xmin is None:
         return np.exp(model.mu + model.sigma * ndtri(u))
-    # Truncated lognormal tail: invert the cdf on [F(xmin), 1).
-    f0 = model.cdf(fit.xmin)
-    return model.quantile(f0 + u * (1.0 - f0))
+    # Truncated lognormal tail: solve S(x) = (1 - u) * S(xmin) for the
+    # survival function S in log space, since 1 - cdf(xmin) rounds to 0
+    # when the cutoff sits far above the body. Rounding can put a draw
+    # for u near 0 an ulp below the cutoff; clip it back.
+    log_sf = model.logsf(fit.xmin) + np.log1p(-u)
+    return np.maximum(np.exp(model.mu - model.sigma * ndtri_exp(log_sf)), fit.xmin)
 
 
 def bootstrap_pvalue_binned(

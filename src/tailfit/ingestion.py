@@ -1,5 +1,9 @@
 """Turn raw timestamped event logs into per-actor inter-event duration
-samples, in a single bounded-memory streaming pass.
+samples.
+
+Events are parsed in one streaming pass over the CSV, but every accepted
+timestamp is kept (8 bytes per event, grouped by actor) until the gaps
+are taken, so memory grows with the number of events.
 """
 from __future__ import annotations
 

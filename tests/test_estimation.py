@@ -2,10 +2,15 @@
 maximum-likelihood recovery, bootstrap calibration and family
 discrimination.
 """
+import dataclasses
+import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from tailfit import (
@@ -28,7 +33,85 @@ from tailfit import (
     sample_powerlaw,
 )
 from tailfit.binning import Histogram
-from tailfit.estimation import bootstrap_pvalue_binned
+from tailfit.estimation import FitReport, _draw_tail, bootstrap_pvalue_binned
+
+
+def reference_tail_ks(tail, xmin, gamma):
+    """Tail KS distance point by point."""
+    m = tail.size
+    f = -np.expm1((1.0 - gamma) * np.log(tail / xmin))
+    hi = np.arange(1, m + 1) / m
+    lo = np.arange(0, m) / m
+    return float(np.max(np.maximum(np.abs(hi - f), np.abs(lo - f))))
+
+
+def reference_scan(s, min_tail=50, max_candidates=1000):
+    """The unpruned cutoff scan: every candidate scored point by point, in
+    ascending order, the first strictly smallest KS winning.
+    """
+    x = s.values
+    n = x.size
+    first = np.flatnonzero(np.diff(x, prepend=np.nan) != 0)
+    if first.size < 2:
+        raise DegenerateSampleError("all sample values are equal")
+    if first.size < min_tail:
+        raise DegenerateSampleError(
+            f"need at least {min_tail} distinct values for cutoff selection "
+            f"(got {first.size})"
+        )
+    candidates = first[first <= n - min_tail]
+    if candidates.size == 0:
+        raise DegenerateSampleError("no cutoff candidate leaves a large enough tail")
+    if candidates.size > max_candidates:
+        pick = np.linspace(0, candidates.size - 1, max_candidates).astype(int)
+        candidates = candidates[np.unique(pick)]
+    log_x = np.log(x)
+    suffix = np.concatenate([np.cumsum(log_x[::-1])[::-1], [0.0]])
+    best = None
+    for i in candidates:
+        m = n - i
+        denom = suffix[i] - m * log_x[i]
+        if denom <= 0:
+            continue
+        gamma = 1.0 + m / denom
+        ks = reference_tail_ks(x[i:], x[i], gamma)
+        if best is None or ks < best[0]:
+            best = (ks, i, gamma)
+    if best is None:
+        raise DegenerateSampleError("no valid cutoff candidate")
+    ks, i, gamma = best
+    xmin = float(x[i])
+    m = n - i
+    loglik = m * math.log(gamma - 1.0) + m * (gamma - 1.0) * math.log(xmin) - gamma * suffix[i]
+    return FitReport("powerlaw", (float(gamma), xmin), xmin, m, ks, float(loglik), n)
+
+
+@st.composite
+def scan_inputs(draw):
+    """Samples the pruned scan must get exactly right: all-distinct values,
+    tie-heavy lattices floor(x/step)*step, a long run of equal top values
+    (candidates in it have no spread above the cutoff), and few distinct
+    values (tails shorter than one grid stride).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 3000))
+    x = np.exp(rng.normal(draw(st.floats(-5.0, 12.0)), draw(st.floats(0.05, 3.0)), n))
+    shape = draw(st.sampled_from(["distinct", "lattice", "top_run", "few_values"]))
+    if shape == "lattice":
+        step = float(np.quantile(x, draw(st.floats(0.0, 0.9))))
+        x = np.floor(x / step) * step
+    elif shape == "top_run":
+        x = np.concatenate([x, np.full(draw(st.integers(1, 400)), 2.0 * x.max())])
+    elif shape == "few_values":
+        x = rng.choice(np.exp(rng.normal(0.0, 1.0, draw(st.integers(2, 20)))), n)
+    x = x[x > 0]
+    if x.size == 0:
+        x = np.array([1.0])
+    options = {
+        "min_tail": draw(st.integers(1, 80)),
+        "max_candidates": draw(st.integers(1, 1500)),
+    }
+    return DurationSample(x), options
 
 
 class TestEdf:
@@ -101,6 +184,54 @@ class TestPowerlawFit:
         with pytest.raises(DegenerateSampleError):
             fit_powerlaw_tail(DurationSample(np.array([1.0, 2.0, 3.0])))
 
+    @settings(max_examples=300, deadline=None)
+    @given(scan_inputs())
+    def test_pruned_scan_equals_brute_force(self, case):
+        s, options = case
+        try:
+            expected = reference_scan(s, **options)
+        except DegenerateSampleError as exc:
+            with pytest.raises(DegenerateSampleError, match=re.escape(str(exc))):
+                fit_powerlaw_tail(s, **options)
+            return
+        fit = fit_powerlaw_tail(s, **options)
+        assert fit.ks == expected.ks
+        assert fit.xmin == expected.xmin
+        assert fit.params == expected.params
+        assert fit.n_tail == expected.n_tail
+        assert fit.loglik == expected.loglik
+
+    def test_ks_tie_goes_to_smallest_cutoff(self):
+        # Cutoffs 1, 2 and 3 all have KS exactly 0.5 (their first run holds
+        # half their tail); the pruned scan scores 2 and 3 first.
+        s = DurationSample(np.array([1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 3.0, 4.0]))
+        expected = reference_scan(s, min_tail=1)
+        fit = fit_powerlaw_tail(s, min_tail=1)
+        for cutoff in (1.0, 2.0, 3.0):
+            tail_fit = fit_powerlaw_tail(s, xmin=cutoff)
+            assert tail_fit.ks == 0.5
+        assert (fit.xmin, fit.ks, fit.params) == (1.0, 0.5, expected.params)
+
+    @settings(max_examples=100, deadline=None)
+    @given(scan_inputs(), st.floats(0.0, 0.99))
+    def test_fixed_cutoff_ks_equals_pointwise(self, case, q):
+        s, _ = case
+        xmin = float(np.quantile(s.values, q))
+        tail = s.values[s.values >= xmin]
+        try:
+            fit = fit_powerlaw_tail(s, xmin=xmin)
+        except DegenerateSampleError:
+            assert np.all(tail == xmin)
+            return
+        assert fit.ks == reference_tail_ks(tail, xmin, fit.params[0])
+
+    def test_scanned_fit_is_plain_json(self):
+        s = sample_powerlaw(PowerLawModel(2.0, 1.0), 500, SeededGenerator(106))
+        fit = fit_powerlaw_tail(s)
+        json.dumps(dataclasses.asdict(fit))
+        assert type(fit.n_tail) is int
+        assert all(type(v) is float for v in (*fit.params, fit.ks, fit.loglik))
+
     def test_decimation_keeps_result_close(self):
         s = sample_powerlaw(PowerLawModel(1.8, 5.0), 20_000, SeededGenerator(105))
         full = fit_powerlaw_tail(s, max_candidates=10_000)
@@ -171,6 +302,19 @@ class TestBootstrap:
         fit = fit_powerlaw_tail(s, xmin=1.0)
         with pytest.raises(ValueError):
             bootstrap_pvalue(s, fit, 99, SeededGenerator(125))
+
+    def test_truncated_lognormal_cutoff_far_above_body(self):
+        # cdf(1e4) rounds to 1 for the (0, 1) model; tail draws must still
+        # be finite and at or above the cutoff.
+        body = sample_lognormal(LognormalModel(0.0, 1.0), 1_000, SeededGenerator(128))
+        s = DurationSample(np.concatenate([body.values, 1e4 * np.linspace(1.0, 1.2, 20)]))
+        fit = FitReport("lognormal", (0.0, 1.0), 1e4, 20, 0.5, 0.0, s.n)
+        assert fit.model().cdf(1e4) == 1.0
+        draws = _draw_tail(fit.model(), fit, 10_000, np.random.default_rng(129))
+        assert np.all(np.isfinite(draws))
+        assert np.all(draws >= 1e4)
+        p = bootstrap_pvalue(s, fit, 100, SeededGenerator(130))
+        assert 0.0 <= p <= 1.0
 
     def test_lognormal_bootstrap_runs(self):
         s = sample_lognormal(LognormalModel(3.0, 1.0), 1_000, SeededGenerator(126))
