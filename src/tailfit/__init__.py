@@ -19,7 +19,7 @@ from .estimation import (
     ks_distance,
 )
 from .ingestion import (
-    EventRecord,
+    EventBatch,
     IngestSummary,
     interevent_durations,
     parse_events,
@@ -41,7 +41,7 @@ __all__ = [
     "ComparisonReport",
     "DegenerateSampleError",
     "DurationSample",
-    "EventRecord",
+    "EventBatch",
     "FitConvergenceError",
     "FitReport",
     "GibratProcess",

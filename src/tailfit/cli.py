@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -243,7 +244,7 @@ def cmd_fit(args) -> int:
             p = estimation.bootstrap_pvalue(
                 sample, pl, args.bootstrap, g, quantize_step=args.quantize
             )
-            pl = _with_pvalue(pl, p, args.bootstrap)
+            pl = replace(pl, p_value=p)
         row = pl.to_json_dict(dist=args.label)
     if args.dist in ("lognormal", "both"):
         ln = estimation.fit_lognormal(sample, xmin=args.xmin)
@@ -251,7 +252,7 @@ def cmd_fit(args) -> int:
             p = estimation.bootstrap_pvalue(
                 sample, ln, args.bootstrap, g, quantize_step=args.quantize
             )
-            ln = _with_pvalue(ln, p, args.bootstrap)
+            ln = replace(ln, p_value=p)
         ln_row = ln.to_json_dict(dist=args.label)
         if row is None:
             row = ln_row
@@ -265,12 +266,6 @@ def cmd_fit(args) -> int:
         row["quantize_dropped"] = dropped
     _write_json(row, args.output)
     return EXIT_OK
-
-
-def _with_pvalue(fit, p, reps):
-    from dataclasses import replace
-
-    return replace(fit, p_value=p, p_precision=1.0 / (2.0 * reps**0.5))
 
 
 def cmd_compare(args) -> int:

@@ -45,7 +45,6 @@ class FitReport:
     loglik: float
     n_total: int
     p_value: float | None = None
-    p_precision: float | None = None
 
     def model(self):
         if self.family == "powerlaw":

@@ -1,17 +1,23 @@
 """Event-log parsing and inter-event duration extraction."""
+import csv
 import io
+from array import array
+from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailfit import (
     DurationSample,
-    EventRecord,
     IngestSummary,
     interevent_durations,
     parse_events,
     split_by_resolution,
 )
+from tailfit import ingestion
 from tailfit.ingestion import (
     check_malformed_fraction,
     read_durations_binary,
@@ -31,21 +37,147 @@ carol,5,outbound
 """
 
 
+# The per-row pipeline the columnar one replaced, kept as the reference
+# that the property tests below compare against.
+class Event(NamedTuple):
+    actor: str
+    timestamp: float
+    direction: str | None
+
+
+def reference_parse_events(stream, summary):
+    reader = csv.reader(stream)
+    header = next(reader, None)
+    if header is None:
+        raise ValueError("empty input")
+    columns = [c.strip().lower() for c in header]
+    if "actor" not in columns or "timestamp" not in columns:
+        raise ValueError("expected CSV header actor,timestamp[,direction]")
+    i_actor = columns.index("actor")
+    i_ts = columns.index("timestamp")
+    i_dir = columns.index("direction") if "direction" in columns else None
+    for row in reader:
+        summary.events_read += 1
+        try:
+            actor = row[i_actor]
+            timestamp = float(row[i_ts])
+        except (IndexError, ValueError):
+            summary.events_dropped += 1
+            continue
+        if not actor or not np.isfinite(timestamp) or timestamp < 0:
+            summary.events_dropped += 1
+            continue
+        direction = row[i_dir] if i_dir is not None and len(row) > i_dir else None
+        yield Event(actor, timestamp, direction)
+
+
+def reference_interevent_durations(events, direction, summary, per_actor):
+    by_actor = {}
+    for ev in events:
+        if direction is not None and ev.direction != direction:
+            continue
+        by_actor.setdefault(ev.actor, array("d")).append(ev.timestamp)
+    summary.actors = len(by_actor)
+
+    def gaps(timestamps):
+        ts = np.sort(np.frombuffer(timestamps, dtype=float))
+        d = np.diff(ts)
+        positive = d[d > 0]
+        summary.zero_gaps_dropped += int(d.size - positive.size)
+        summary.durations_emitted += int(positive.size)
+        return positive
+
+    if per_actor:
+        out = {}
+        for actor, ts in by_actor.items():
+            g = gaps(ts)
+            if g.size:
+                out[actor] = DurationSample(g)
+        return out, summary
+    pooled = [g for g in (gaps(ts) for ts in by_actor.values()) if g.size]
+    if not pooled:
+        raise ValueError("no positive inter-event durations in input")
+    return DurationSample(np.sort(np.concatenate(pooled))), summary
+
+
+def reference_split_by_resolution(events, label_of):
+    buckets = {}
+    for ev in events:
+        buckets.setdefault(label_of(ev.timestamp), []).append(ev)
+    out = {}
+    for label, evs in buckets.items():
+        try:
+            sample, _ = reference_interevent_durations(evs, None, IngestSummary(), False)
+        except ValueError:
+            continue
+        out[label] = sample
+    return out
+
+
+def reference_read_durations_text(stream):
+    values = array("d")
+    bad = 0
+    for line in stream:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            values.append(float(line))
+        except ValueError:
+            bad += 1
+    if not values:
+        raise ValueError("no durations in input")
+    if bad > len(values):
+        raise ValueError(f"{bad} malformed duration lines")
+    return DurationSample(np.sort(np.frombuffer(values, dtype=float)))
+
+
+def outcome(fn, *args):
+    """A call's result, or the type and message of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return (type(exc), str(exc))
+
+
+def comparable(result):
+    """A pipeline outcome with its samples as bytes, so that == compares
+    them bit for bit (and a per-actor dict's key order too)."""
+    if isinstance(result[0], type):
+        return result
+    samples, summary = result
+    if isinstance(samples, dict):
+        return [(k, v.values.tobytes()) for k, v in samples.items()], summary.to_dict()
+    return samples.values.tobytes(), summary.to_dict()
+
+
+def events_of(batches):
+    """(actor, timestamp, direction) of every event, in file order."""
+    return [
+        (b.actors[c], t, None if b.directions is None else b.directions[i])
+        for b in batches
+        for i, (c, t) in enumerate(zip(b.codes.tolist(), b.timestamps.tolist()))
+    ]
+
+
 class TestParseEvents:
     def test_parses_records(self):
-        events = list(parse_events(io.StringIO(CSV)))
-        assert len(events) == 7
-        assert events[0] == EventRecord("alice", 100.0, "outbound")
+        batches = list(parse_events(io.StringIO(CSV)))
+        assert sum(b.codes.size for b in batches) == 7
+        b = batches[0]
+        assert b.timestamps.dtype == np.float64 and b.codes.dtype == np.int32
+        assert events_of(batches)[0] == ("alice", 100.0, "outbound")
 
     def test_optional_direction_column(self):
-        events = list(parse_events(io.StringIO("actor,timestamp\nx,1\nx,2\n")))
-        assert events[0].direction is None
+        batches = list(parse_events(io.StringIO("actor,timestamp\nx,1\nx,2\n")))
+        assert batches[0].directions is None
+        assert events_of(batches)[0][2] is None
 
     def test_malformed_lines_counted_and_skipped(self):
         text = "actor,timestamp\nx,1\nx,notanumber\n,5\nx,-3\nx,2\n"
         summary = IngestSummary()
-        events = list(parse_events(io.StringIO(text), summary))
-        assert len(events) == 2
+        batches = list(parse_events(io.StringIO(text), summary))
+        assert sum(b.codes.size for b in batches) == 2
         assert summary.events_read == 5
         assert summary.events_dropped == 3
         # 3 of 5 lines malformed exceeds the half threshold.
@@ -77,6 +209,14 @@ class TestIntereventDurations:
         assert summary.durations_emitted == 3
         assert summary.actors == 3
 
+    def test_parse_counts_reach_the_returned_summary(self):
+        _, summary = interevent_durations(parse_events(io.StringIO(CSV)))
+        assert summary.events_read == 7
+        # One summary shared by both stages counts each row once.
+        shared = IngestSummary()
+        interevent_durations(parse_events(io.StringIO(CSV), shared), summary=shared)
+        assert (shared.events_read, shared.events_dropped) == (7, 0)
+
     def test_direction_filter(self):
         events = list(parse_events(io.StringIO(CSV)))
         sample, _ = interevent_durations(events, direction="outbound")
@@ -84,7 +224,7 @@ class TestIntereventDurations:
         np.testing.assert_array_equal(sample.values, [3.0, 60.0, 240.0])
 
     def test_unsorted_timestamps_are_sorted_per_actor(self):
-        events = [EventRecord("a", t) for t in [50.0, 10.0, 30.0]]
+        events = parse_events(io.StringIO("actor,timestamp\na,50\na,10\na,30\n"))
         sample, _ = interevent_durations(events)
         np.testing.assert_array_equal(sample.values, [20.0, 20.0])
 
@@ -94,28 +234,157 @@ class TestIntereventDurations:
         assert set(by_actor) == {"alice", "bob"}
         np.testing.assert_array_equal(by_actor["bob"].values, [3.0])
 
+    def test_per_actor_keys_in_first_seen_order_of_kept_events(self):
+        # In its chunk, b's first event precedes a's first outbound one.
+        text = "actor,timestamp,direction\na,1,inbound\nb,1,outbound\na,2,outbound\n"
+        text += "b,3,outbound\na,5,outbound\n"
+        by_actor, summary = interevent_durations(
+            parse_events(io.StringIO(text)), direction="outbound", per_actor=True
+        )
+        assert list(by_actor) == ["b", "a"]
+        np.testing.assert_array_equal(by_actor["a"].values, [3.0])
+        assert summary.actors == 2
+
     def test_no_durations_raises(self):
         with pytest.raises(ValueError):
-            interevent_durations([EventRecord("a", 1.0)])
+            interevent_durations(parse_events(io.StringIO("actor,timestamp\na,1\n")))
 
 
 class TestSplitByResolution:
     def test_partition(self):
-        events = [
-            EventRecord("a", 60.0), EventRecord("a", 120.0), EventRecord("a", 180.0),
-            EventRecord("b", 1.5), EventRecord("b", 2.25),
-        ]
+        events = parse_events(io.StringIO("actor,timestamp\na,60\na,120\na,180\nb,1.5\nb,2.25\n"))
         out = split_by_resolution(
-            events, lambda ev: "minute" if ev.timestamp == int(ev.timestamp) else "second"
+            events,
+            lambda b: np.where(b.timestamps == np.floor(b.timestamps), "minute", "second"),
         )
         assert set(out) == {"minute", "second"}
         np.testing.assert_array_equal(out["minute"].values, [60.0, 60.0])
         np.testing.assert_array_equal(out["second"].values, [0.75])
 
     def test_empty_partitions_omitted(self):
-        events = [EventRecord("a", 1.0)]
-        out = split_by_resolution(events, lambda ev: "only")
+        events = parse_events(io.StringIO("actor,timestamp\na,1\n"))
+        out = split_by_resolution(events, lambda b: np.full(b.timestamps.size, "only"))
         assert out == {}
+
+
+STAMPS = ["nan", "inf", "-3", "1_000", " 12 ", "", "x", "-0", "1e3", "2.5", "0"] + [
+    str(k) for k in range(8)
+]
+ACTORS = ["", "a", "b", "c,d", 'q"r', " e"]
+DIRECTIONS = ["outbound", "inbound", ""]
+
+
+@st.composite
+def event_logs(draw):
+    """CSV text with columns in any order, extra columns, malformed stamps,
+    short rows, blank lines, empty and quoted actors, and duplicate and
+    unsorted timestamps, with or without a direction column."""
+    names = ["actor", "timestamp"]
+    if draw(st.booleans()):
+        names.append("direction")
+    names += ["extra"] * draw(st.integers(0, 2))
+    names = draw(st.permutations(names))
+    header = [draw(st.sampled_from([n, n.upper(), f" {n} "])) for n in names]
+    rows = [header]
+    fields = {
+        "actor": st.sampled_from(ACTORS),
+        "timestamp": st.sampled_from(STAMPS),
+        "direction": st.sampled_from(DIRECTIONS),
+        "extra": st.sampled_from(["", "z"]),
+    }
+    for _ in range(draw(st.integers(0, 40))):
+        row = [draw(fields[n]) for n in names]
+        kind = draw(st.sampled_from(["full", "full", "full", "short", "blank"]))
+        if kind == "short":
+            row = row[: draw(st.integers(1, len(row) - 1))]
+        elif kind == "blank":
+            row = []
+        rows.append(row)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+@st.composite
+def duration_lines(draw):
+    """Lines of a duration file: exact reprs, padded and underscored
+    numbers, blank and malformed lines, and in half the cases one value
+    that no sample may hold."""
+    line = st.one_of(
+        st.floats(min_value=1e-300, max_value=1e300).map(repr),
+        st.sampled_from(["1_000", " 12 ", "", "  ", "x", "7"]),
+    )
+    lines = draw(st.lists(line, max_size=30))
+    if draw(st.booleans()):
+        bad = draw(st.sampled_from(["nan", "inf", "-3", "0"]))
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    return lines
+
+
+def integral(t):
+    return "minute" if t == int(t) else "second"
+
+
+class TestColumnarMatchesPerRow:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        event_logs(),
+        st.sampled_from([None, "outbound", "inbound"]),
+        st.integers(1, 6),
+    )
+    def test_same_sample_per_actor_and_summary(self, text, direction, chunk):
+        with mock.patch.object(ingestion, "CHUNK_ROWS", chunk):
+            for per_actor in (False, True):
+                ref_summary = IngestSummary()
+                expected = outcome(
+                    reference_interevent_durations,
+                    reference_parse_events(io.StringIO(text), ref_summary),
+                    direction,
+                    ref_summary,
+                    per_actor,
+                )
+                # The summary shared with the parser, as the CLI does, and
+                # each stage's default summary.
+                shared = IngestSummary()
+                got_shared = outcome(
+                    lambda: interevent_durations(
+                        parse_events(io.StringIO(text), shared), direction, shared, per_actor
+                    )
+                )
+                got_default = outcome(
+                    lambda: interevent_durations(
+                        parse_events(io.StringIO(text)), direction, per_actor=per_actor
+                    )
+                )
+                assert comparable(got_shared) == comparable(expected)
+                assert comparable(got_default) == comparable(expected)
+                assert shared.to_dict() == ref_summary.to_dict()
+
+            want = reference_split_by_resolution(
+                reference_parse_events(io.StringIO(text), IngestSummary()), integral
+            )
+            got = split_by_resolution(
+                parse_events(io.StringIO(text)),
+                lambda b: np.where(b.timestamps == np.floor(b.timestamps), "minute", "second"),
+            )
+            assert list(got) == list(want)
+            for label, s in want.items():
+                assert got[label].values.tobytes() == s.values.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(duration_lines(), st.integers(1, 6))
+    def test_text_read_and_write_match_per_line(self, lines, chunk):
+        text = "".join(f"{line}\n" for line in lines)
+        with mock.patch.object(ingestion, "CHUNK_ROWS", chunk):
+            expected = outcome(reference_read_durations_text, io.StringIO(text))
+            got = outcome(read_durations_text, io.StringIO(text))
+            if isinstance(expected, tuple):
+                assert got == expected
+                return
+            assert got.values.tobytes() == expected.values.tobytes()
+            buf = io.StringIO()
+            write_durations_text(got, buf)
+        assert buf.getvalue() == "".join(f"{v!r}\n" for v in expected.values.tolist())
 
 
 class TestDurationIO:
