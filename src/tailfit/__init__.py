@@ -5,6 +5,7 @@ deform one into an apparent instance of the other.
 from .binning import Histogram, bin_linear, bin_log, expected_counts, quantize, rescale
 from .distributions import LognormalModel, PowerLawModel
 from .estimation import (
+    BootstrapResult,
     ComparisonReport,
     DegenerateSampleError,
     FitConvergenceError,
@@ -38,6 +39,7 @@ from .synthesis import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "BootstrapResult",
     "ComparisonReport",
     "DegenerateSampleError",
     "DurationSample",

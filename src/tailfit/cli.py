@@ -34,6 +34,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.threads = _thread_count(args.threads)
         return args.func(args)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: io: {exc}", file=sys.stderr)
@@ -54,9 +55,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--threads",
-        type=int,
-        default=int(os.environ.get("TAILFIT_THREADS", "1")),
-        help="accepted for a future worker cap and currently unused",
+        metavar="N",
+        default=None,
+        help="worker processes for fit's bootstrap replicates, capped by the usable "
+        "CPUs (default: $TAILFIT_THREADS, else 1); outputs are byte-identical for any N",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -122,6 +124,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     return parser
+
+
+def _thread_count(flag: str | None) -> int:
+    text = flag if flag is not None else os.environ.get("TAILFIT_THREADS", "1")
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"--threads / TAILFIT_THREADS must be a positive integer, got {text!r}")
+    return threads
 
 
 def _open_out(path: str):
@@ -241,18 +254,20 @@ def cmd_fit(args) -> int:
     if args.dist in ("powerlaw", "both"):
         pl = estimation.fit_powerlaw_tail(sample, xmin=args.xmin)
         if args.bootstrap:
-            p = estimation.bootstrap_pvalue(
-                sample, pl, args.bootstrap, g, quantize_step=args.quantize
+            boot = estimation.bootstrap_pvalue(
+                sample, pl, args.bootstrap, g, quantize_step=args.quantize,
+                workers=args.threads,
             )
-            pl = replace(pl, p_value=p)
+            pl = replace(pl, p_value=boot.p)
         row = pl.to_json_dict(dist=args.label)
     if args.dist in ("lognormal", "both"):
         ln = estimation.fit_lognormal(sample, xmin=args.xmin)
         if args.bootstrap:
-            p = estimation.bootstrap_pvalue(
-                sample, ln, args.bootstrap, g, quantize_step=args.quantize
+            boot = estimation.bootstrap_pvalue(
+                sample, ln, args.bootstrap, g, quantize_step=args.quantize,
+                workers=args.threads,
             )
-            ln = replace(ln, p_value=p)
+            ln = replace(ln, p_value=boot.p)
         ln_row = ln.to_json_dict(dist=args.label)
         if row is None:
             row = ln_row
@@ -260,7 +275,12 @@ def cmd_fit(args) -> int:
             row["mu"], row["sigma"] = ln_row["mu"], ln_row["sigma"]
             row["loglik_p"] = ln_row["loglik_p"]
     if args.dist == "both":
-        comparison = estimation.compare_families(sample, pl.xmin)
+        # With --xmin both fits are the ones compare_families would make; the
+        # scan's power-law fit is not (its gamma comes from suffix sums).
+        fixed = args.xmin is not None
+        comparison = estimation.compare_families(
+            sample, pl.xmin, powerlaw=pl if fixed else None, lognormal=ln if fixed else None
+        )
         row["LR"] = comparison.lr
     if dropped is not None:
         row["quantize_dropped"] = dropped

@@ -5,11 +5,13 @@ Power-law tails are fitted with the closed-form exponent estimate and a
 KS scan over candidate cutoffs; lognormals with the closed-form log-moment
 estimate (or a truncated-likelihood optimizer above a cutoff). Bootstrap
 p-values use the semi-parametric scheme: synthetic tails from the fitted
-model, synthetic bodies resampled from the empirical data below the cutoff.
+model, synthetic bodies resampled from the empirical data below the cutoff;
+their replicates can run in forked worker processes without changing p.
 """
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +20,7 @@ from scipy.special import erfc, log_ndtr, ndtr, ndtri, ndtri_exp
 
 from .binning import Histogram
 from .distributions import _LOG_SQRT_2PI, LognormalModel, PowerLawModel
-from .sample import DurationSample
+from .sample import DurationSample, _is_sorted
 
 DEFAULT_MIN_TAIL = 50
 DEFAULT_MAX_CANDIDATES = 1000
@@ -132,16 +134,32 @@ def edf(s: DurationSample) -> Edf:
 
 
 def ks_distance(sample, cdf) -> float:
-    """sup over sample points of max(|EDF(x-) - F(x)|, |EDF(x) - F(x)|)."""
-    values = sample.values if isinstance(sample, DurationSample) else np.asarray(sample, dtype=float)
-    values = np.sort(values)
+    """sup over sample points of max(|EDF(x-) - F(x)|, |EDF(x) - F(x)|).
+
+    A ``DurationSample``, or an array already in ascending order, is used
+    as it is; any other array is sorted first. Besides the cdf values, the
+    two deviations take one n-sized buffer each, computed in place.
+    """
+    if isinstance(sample, DurationSample):
+        values = sample.values
+    else:
+        values = np.asarray(sample, dtype=float)
+        if not _is_sorted(values):
+            values = np.sort(values)
     n = values.size
     if n < 1:
         raise ValueError("need at least one point")
     f = np.asarray(cdf(values), dtype=float)
-    hi = np.arange(1, n + 1) / n
-    lo = np.arange(0, n) / n
-    return float(np.max(np.maximum(np.abs(hi - f), np.abs(lo - f))))
+    hi = np.arange(1, n + 1, dtype=float)
+    hi /= n
+    hi -= f
+    np.abs(hi, out=hi)
+    lo = np.arange(0, n, dtype=float)
+    lo /= n
+    lo -= f
+    np.abs(lo, out=lo)
+    np.maximum(hi, lo, out=hi)
+    return float(hi.max())
 
 
 def _powerlaw_tail_ks(values, below, upto, xmin, gamma) -> float:
@@ -326,11 +344,11 @@ def fit_lognormal(s: DurationSample, xmin: float | None = None) -> FitReport:
         if sigma == 0:
             raise DegenerateSampleError("all sample values are equal")
         model = LognormalModel(mu, sigma)
-        ks = ks_distance(x, model.cdf)
+        ks = ks_distance(s, model.cdf)
         loglik = float(np.sum(model.logpdf(x)))
         return FitReport("lognormal", (mu, sigma), None, n, ks, loglik, n)
 
-    tail = x[x >= xmin]
+    tail = x[int(np.searchsorted(x, xmin, side="left")):]
     m = tail.size
     if m < 2:
         raise DegenerateSampleError("need at least two tail values")
@@ -403,6 +421,21 @@ def _truncated_lognormal_mle(y: np.ndarray, w: float) -> tuple[float, float, flo
     return float(mu), float(math.exp(log_sigma)), float(-res.fun) * m
 
 
+@dataclass(frozen=True)
+class BootstrapResult:
+    """Outcome of a bootstrap goodness-of-fit test.
+
+    ``ks`` holds each replicate's refit KS distance in replicate order,
+    ``inf`` for a replicate whose refit raised ``DegenerateSampleError`` or
+    ``FitConvergenceError``; ``failed`` counts those replicates. They count
+    as at least as discrepant as the observed fit, so they raise p.
+    """
+
+    p: float
+    ks: tuple[float, ...]
+    failed: int
+
+
 def bootstrap_pvalue(
     s: DurationSample,
     fit: FitReport,
@@ -410,7 +443,8 @@ def bootstrap_pvalue(
     g,
     fit_options: dict | None = None,
     quantize_step: float | None = None,
-) -> float:
+    workers: int = 1,
+) -> BootstrapResult:
     """Semi-parametric bootstrap goodness-of-fit probability.
 
     Each replicate draws n_total points: with probability n_tail/n_total
@@ -421,19 +455,19 @@ def bootstrap_pvalue(
     precision 1/(2*sqrt(reps)).
 
     ``quantize_step`` applies the same provider-resolution truncation to
-    every replicate, for samples that were themselves quantized.
+    every replicate, for samples that were themselves quantized. A
+    replicate that keeps fewer than two values is a failed replicate.
+    ``workers`` > 1 runs the replicates in forked worker processes; the
+    result does not depend on it.
     """
-    if reps < 100:
-        raise ValueError("need at least 100 bootstrap replicates")
     fit_options = fit_options or {}
     n = fit.n_total
     xmin = fit.xmin if fit.xmin is not None else 0.0
     body = s.values[s.values < xmin]
     p_tail = fit.n_tail / n
     model = fit.model()
-    hits = 0
-    for rep in range(reps):
-        rng = g.substream(rep)
+
+    def replicate(rng: np.random.Generator) -> float:
         k = int(rng.binomial(n, p_tail))
         parts = []
         if k > 0:
@@ -445,20 +479,13 @@ def bootstrap_pvalue(
             values = np.floor(values / quantize_step) * quantize_step
             values = values[values > 0]
             if values.size < 2:
-                hits += 1
-                continue
-        try:
-            synthetic = DurationSample(values)
-            if fit.family == "powerlaw":
-                refit = fit_powerlaw_tail(synthetic, **fit_options)
-            else:
-                refit = fit_lognormal(synthetic, xmin=fit.xmin, **fit_options)
-            ks = refit.ks
-        except (DegenerateSampleError, FitConvergenceError):
-            ks = np.inf
-        if ks >= fit.ks:
-            hits += 1
-    return hits / reps
+                raise DegenerateSampleError("quantized replicate keeps fewer than two values")
+        synthetic = DurationSample(values)
+        if fit.family == "powerlaw":
+            return fit_powerlaw_tail(synthetic, **fit_options).ks
+        return fit_lognormal(synthetic, xmin=fit.xmin, **fit_options).ks
+
+    return _bootstrap(replicate, fit.ks, reps, g, workers)
 
 
 def _draw_tail(model, fit: FitReport, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -476,18 +503,18 @@ def _draw_tail(model, fit: FitReport, k: int, rng: np.random.Generator) -> np.nd
 
 
 def bootstrap_pvalue_binned(
-    h: Histogram, fit: FitReport, reps: int, g, fit_options: dict | None = None
-) -> float:
+    h: Histogram, fit: FitReport, reps: int, g, fit_options: dict | None = None,
+    workers: int = 1,
+) -> BootstrapResult:
     """Bootstrap goodness-of-fit probability for a binned fit.
 
     Synthetic histograms are multinomial draws over the observed bins:
     below the fitted cutoff the empirical bin probabilities are used,
     above it the fitted model's (tail-conditioned, weighted by the
     observed tail share). Each replicate is refitted with the same
-    binned pipeline and its binned KS recorded.
+    binned pipeline and its binned KS recorded. ``workers`` is as for
+    ``bootstrap_pvalue``.
     """
-    if reps < 100:
-        raise ValueError("need at least 100 bootstrap replicates")
     fit_options = fit_options or {}
     edges = h.edges
     counts = h.counts
@@ -502,34 +529,119 @@ def bootstrap_pvalue_binned(
         probs = probs.copy()
         probs[j:] = tail_probs * (fit.n_tail / n)
         probs /= probs.sum()
-    hits = 0
-    for rep in range(reps):
-        rng = g.substream(rep)
+
+    def replicate(rng: np.random.Generator) -> float:
         counts_rep = rng.multinomial(n, probs)
+        return fit_binned(
+            Histogram(edges, counts_rep, h.scheme, h.unit), fit.family, **fit_options
+        ).ks
+
+    return _bootstrap(replicate, fit.ks, reps, g, workers)
+
+
+# Replicate index ranges handed to the pool per worker; more than one
+# lets a worker that finishes early take over the work of a slow one.
+RANGES_PER_WORKER = 4
+
+
+def _bootstrap(replicate, observed_ks: float, reps: int, g, workers: int) -> BootstrapResult:
+    """Run ``replicate(g.substream(rep))`` for every rep in range(reps) and
+    score each refit KS against the observed one.
+
+    With ``workers`` > 1 (capped by the usable CPUs and by ``reps``),
+    contiguous ranges of replicate indices run in a pool of forked
+    processes, which inherit ``replicate`` and everything it refers to.
+    Every replicate draws from its own substream and p is a hit count
+    over ``reps``, so the result is the same for any worker count.
+    """
+    if reps < 100:
+        raise ValueError("need at least 100 bootstrap replicates")
+    if workers < 1:
+        raise ValueError("need at least one worker")
+    workers = min(workers, _usable_cpus(), reps)
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers == 1:
+        parts = [_replicates(replicate, g, 0, reps)]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        n_ranges = min(reps, workers * RANGES_PER_WORKER)
+        bounds = [reps * i // n_ranges for i in range(n_ranges + 1)]
+        # The executor forks every worker before it starts its own thread,
+        # and raises BrokenProcessPool if a worker dies, where a
+        # multiprocessing.Pool would wait for its lost results forever.
+        pool = ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_set_worker_task,
+            initargs=((replicate, g),),
+        )
         try:
-            refit = fit_binned(
-                Histogram(edges, counts_rep, h.scheme, h.unit), fit.family, **fit_options
-            )
-            ks = refit.ks
+            parts = list(pool.map(_worker_replicates, zip(bounds[:-1], bounds[1:])))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    ks = tuple(k for part in parts for k in part)
+    hits = sum(k >= observed_ks for k in ks)
+    return BootstrapResult(hits / reps, ks, ks.count(math.inf))
+
+
+def _replicates(replicate, g, start: int, stop: int) -> list[float]:
+    """The refit KS of replicates start..stop-1; inf where the refit raised."""
+    ks = []
+    for rep in range(start, stop):
+        try:
+            ks.append(float(replicate(g.substream(rep))))
         except (DegenerateSampleError, FitConvergenceError):
-            ks = np.inf
-        if ks >= fit.ks:
-            hits += 1
-    return hits / reps
+            ks.append(math.inf)
+    return ks
+
+
+# Set in each pool worker, from the parent's memory, before any range runs.
+_worker_task = None
+
+
+def _set_worker_task(task) -> None:
+    global _worker_task
+    _worker_task = task
+
+
+def _worker_replicates(bounds: tuple[int, int]) -> list[float]:
+    return _replicates(*_worker_task, *bounds)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def compare_families(
-    s: DurationSample, xmin: float, threshold: float = VERDICT_THRESHOLD
+    s: DurationSample,
+    xmin: float,
+    threshold: float = VERDICT_THRESHOLD,
+    powerlaw: FitReport | None = None,
+    lognormal: FitReport | None = None,
 ) -> ComparisonReport:
     """Vuong-style log-likelihood ratio between power-law and lognormal,
     both fitted to (and normalized on) the tail x >= xmin.
+
+    ``powerlaw`` and ``lognormal`` may pass in the caller's own
+    ``fit_powerlaw_tail(s, xmin=xmin)`` and ``fit_lognormal(s, xmin=xmin)``,
+    which are then not computed again.
     """
     tail = s.values[s.values >= xmin]
     m = tail.size
     if m < 2:
         raise DegenerateSampleError("need at least two tail values to compare")
-    pl = fit_powerlaw_tail(s, xmin=xmin)
-    ln = fit_lognormal(s, xmin=xmin)
+    for given, family in ((powerlaw, "powerlaw"), (lognormal, "lognormal")):
+        if given is not None and (given.family != family or given.xmin != xmin):
+            raise ValueError(f"the {family} fit passed in is not a {family} fit at xmin={xmin}")
+    pl = powerlaw if powerlaw is not None else fit_powerlaw_tail(s, xmin=xmin)
+    ln = lognormal if lognormal is not None else fit_lognormal(s, xmin=xmin)
 
     pl_model = pl.model()
     ln_model = ln.model()

@@ -78,14 +78,14 @@ def test_binning_deformation():
         seconds_fit = fit_powerlaw_tail(s, **scan)
         p_seconds = bootstrap_pvalue(
             s, seconds_fit, 100, SeededGenerator(2000 + seed), fit_options=scan
-        )
+        ).p
         q, _ = quantize(s, 3600.0)
         h = bin_log(q, 5)
         binned = {"min_tail": 350}
         quantized_fit = fit_binned(h, "powerlaw", **binned)
         p_quantized = bootstrap_pvalue_binned(
             h, quantized_fit, 100, SeededGenerator(3000 + seed), fit_options=binned
-        )
+        ).p
         gamma = quantized_fit.params[0]
         ok = 1.5 <= gamma <= 2.1 and p_quantized > p_seconds
         successes += ok

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from tailfit import estimation
 from tailfit.cli import main
 
 EVENTS = """actor,timestamp
@@ -174,6 +175,62 @@ class TestFit:
         _, out2, _ = run(args, capsys)
         assert out1 == out2
         assert json.loads(out1)["p"] is not None
+
+    def test_threads_do_not_change_output(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(estimation, "_usable_cpus", lambda: 2)
+        sample = self.make_sample(tmp_path, capsys, kind="lognormal", n=800)
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"fit{threads}.json"
+            code, _, err = run(
+                ["--threads", threads, "fit", "--input", str(sample), "--dist", "both",
+                 "--quantize", "10", "--bootstrap", "100", "--seed", "4",
+                 "--output", str(out)],
+                capsys,
+            )
+            assert code == 0, err
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        row = json.loads(outputs[0])
+        assert row["p"] is not None and row["loglik_p"] is not None
+
+    def test_fixed_cutoff_lr_matches_compare(self, tmp_path, capsys):
+        # fit --xmin hands its own fits to the comparison; compare makes its own.
+        sample = self.make_sample(tmp_path, capsys, kind="lognormal")
+        code, fit_out, _ = run(
+            ["fit", "--input", str(sample), "--dist", "both", "--xmin", "150"], capsys
+        )
+        assert code == 0
+        code, cmp_out, _ = run(["compare", "--input", str(sample), "--xmin", "150"], capsys)
+        assert code == 0
+        assert json.loads(fit_out)["LR"] == json.loads(cmp_out)["lr"]
+
+
+class TestThreadsOption:
+    """Bad worker counts are rejected before any work starts: the input
+    named here does not exist, and the error is not an I/O error."""
+
+    def fit_args(self, tmp_path):
+        return ["fit", "--input", str(tmp_path / "missing.txt"), "--bootstrap", "100"]
+
+    @pytest.mark.parametrize("value", ["0", "-2", "abc", "1.5", ""])
+    def test_bad_flag_is_invalid_input(self, value, tmp_path, capsys):
+        code, _, err = run(["--threads", value, *self.fit_args(tmp_path)], capsys)
+        assert code == 1
+        assert err.startswith("error: invalid-input:")
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_environment_is_invalid_input(self, value, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("TAILFIT_THREADS", value)
+        code, _, err = run(self.fit_args(tmp_path), capsys)
+        assert code == 1
+        assert err.startswith("error: invalid-input:")
+
+    def test_flag_overrides_environment(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("TAILFIT_THREADS", "abc")
+        code, _, err = run(["--threads", "1", *self.fit_args(tmp_path)], capsys)
+        assert code == 1
+        assert err.startswith("error: io:")
 
 
 class TestCompare:

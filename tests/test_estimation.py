@@ -5,7 +5,10 @@ discrimination.
 import dataclasses
 import json
 import math
+import os
 import re
+import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -33,7 +36,15 @@ from tailfit import (
     sample_powerlaw,
 )
 from tailfit.binning import Histogram
-from tailfit.estimation import FitReport, _draw_tail, bootstrap_pvalue_binned
+from tailfit import estimation
+from tailfit.binning import quantize
+from tailfit.estimation import (
+    FitConvergenceError,
+    FitReport,
+    _bootstrap,
+    _draw_tail,
+    bootstrap_pvalue_binned,
+)
 
 
 def reference_tail_ks(tail, xmin, gamma):
@@ -42,6 +53,16 @@ def reference_tail_ks(tail, xmin, gamma):
     f = -np.expm1((1.0 - gamma) * np.log(tail / xmin))
     hi = np.arange(1, m + 1) / m
     lo = np.arange(0, m) / m
+    return float(np.max(np.maximum(np.abs(hi - f), np.abs(lo - f))))
+
+
+def reference_ks(sample, cdf):
+    """KS distance as first written: sort, then every deviation at once."""
+    values = np.sort(np.asarray(sample, dtype=float))
+    n = values.size
+    f = np.asarray(cdf(values), dtype=float)
+    hi = np.arange(1, n + 1) / n
+    lo = np.arange(0, n) / n
     return float(np.max(np.maximum(np.abs(hi - f), np.abs(lo - f))))
 
 
@@ -138,6 +159,41 @@ class TestEdf:
         n = 100
         x = m.quantile((np.arange(1, n + 1) - 0.5) / n)
         assert ks_distance(x, m.cdf) == pytest.approx(0.5 / n, abs=1e-10)
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(1, 40), min_size=1, max_size=200),
+        st.floats(0.1, 3.0),
+    )
+    def test_ks_equals_first_version(self, ints, sigma):
+        # Unsorted, sorted, tied and DurationSample inputs all give the
+        # bits of the sort-then-compare version.
+        x = np.array(ints, dtype=float) / 4.0
+        cdf = LognormalModel(1.0, sigma).cdf
+        want = reference_ks(x, cdf)
+        assert ks_distance(x, cdf) == want
+        assert ks_distance(np.sort(x), cdf) == want
+        assert ks_distance(DurationSample(x), cdf) == want
+
+    def test_ks_does_not_modify_input(self):
+        x = np.array([3.0, 1.0, 2.0])
+        ks_distance(x, lambda t: t / 3.0)
+        assert x.tolist() == [3.0, 1.0, 2.0]
+
+    def test_ks_peak_memory_on_sorted_input(self):
+        # On a sorted array the cdf values and the two deviation buffers
+        # are the only n-sized allocations: no sorted copy, no temporaries.
+        n = 10**6
+        x = np.sort(SeededGenerator(118).rng().lognormal(0.0, 1.0, n))
+        cdf = LognormalModel(0.0, 1.0).cdf
+        tracemalloc.start()
+        try:
+            ks_distance(x, cdf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * n * 1.02
 
 
 class TestPowerlawFit:
@@ -286,15 +342,15 @@ class TestBootstrap:
         fit = fit_powerlaw_tail(s, max_candidates=100)
         p = bootstrap_pvalue(
             s, fit, 100, SeededGenerator(121), fit_options={"max_candidates": 100}
-        )
+        ).p
         assert p > 0.05
 
     def test_reproducible(self):
         s = sample_powerlaw(PowerLawModel(2.0, 1.0), 1_000, SeededGenerator(122))
         fit = fit_powerlaw_tail(s, max_candidates=50)
         opts = {"fit_options": {"max_candidates": 50}}
-        p1 = bootstrap_pvalue(s, fit, 100, SeededGenerator(123), **opts)
-        p2 = bootstrap_pvalue(s, fit, 100, SeededGenerator(123), **opts)
+        p1 = bootstrap_pvalue(s, fit, 100, SeededGenerator(123), **opts).p
+        p2 = bootstrap_pvalue(s, fit, 100, SeededGenerator(123), **opts).p
         assert p1 == p2
 
     def test_rejects_too_few_reps(self):
@@ -313,18 +369,133 @@ class TestBootstrap:
         draws = _draw_tail(fit.model(), fit, 10_000, np.random.default_rng(129))
         assert np.all(np.isfinite(draws))
         assert np.all(draws >= 1e4)
-        p = bootstrap_pvalue(s, fit, 100, SeededGenerator(130))
+        p = bootstrap_pvalue(s, fit, 100, SeededGenerator(130)).p
         assert 0.0 <= p <= 1.0
 
     def test_lognormal_bootstrap_runs(self):
         s = sample_lognormal(LognormalModel(3.0, 1.0), 1_000, SeededGenerator(126))
         fit = fit_lognormal(s)
-        p = bootstrap_pvalue(s, fit, 100, SeededGenerator(127))
+        p = bootstrap_pvalue(s, fit, 100, SeededGenerator(127)).p
         assert 0.0 <= p <= 1.0
         assert p > 0.05
 
 
+class TestBootstrapWorkers:
+    """The replicate pool: results equal for every worker count, with the
+    CPU cap lifted so that three workers really run on any host."""
+
+    REPS = 101  # uneven over 2 and 3 workers and their index ranges
+
+    @pytest.fixture(autouse=True)
+    def three_cpus(self, monkeypatch):
+        monkeypatch.setattr(estimation, "_usable_cpus", lambda: 3)
+
+    def by_workers(self, run):
+        results = [run(w) for w in (1, 2, 3)]
+        assert results[1] == results[0]
+        assert results[2] == results[0]
+        assert len(results[0].ks) == self.REPS
+        return results[0]
+
+    def test_powerlaw_quantized(self):
+        s = sample_lognormal(LognormalModel(3.0, 1.5), 600, SeededGenerator(160))
+        q, _ = quantize(s, 2.0)
+        opts = {"max_candidates": 40}
+        fit = fit_powerlaw_tail(q, **opts)
+        result = self.by_workers(lambda w: bootstrap_pvalue(
+            q, fit, self.REPS, SeededGenerator(161), fit_options=opts,
+            quantize_step=2.0, workers=w,
+        ))
+        assert 0.0 <= result.p <= 1.0
+
+    def test_truncated_lognormal(self):
+        s = sample_lognormal(LognormalModel(3.0, 1.0), 400, SeededGenerator(162))
+        fit = fit_lognormal(s, xmin=float(np.median(s.values)))
+        result = self.by_workers(lambda w: bootstrap_pvalue(
+            s, fit, self.REPS, SeededGenerator(163), workers=w
+        ))
+        assert result.p == sum(k >= fit.ks for k in result.ks) / self.REPS
+
+    def test_binned(self):
+        edges = np.exp(np.linspace(0.0, 8.0, 25))
+        probs = np.diff(PowerLawModel(1.8, 1.0).cdf(edges))
+        counts = SeededGenerator(164).rng().multinomial(2_000, probs / probs.sum())
+        h = Histogram(edges, counts, "log")
+        fit = fit_binned(h, "powerlaw")
+        self.by_workers(lambda w: bootstrap_pvalue_binned(
+            h, fit, self.REPS, SeededGenerator(165), workers=w
+        ))
+
+    def test_replicates_run_outside_the_caller(self):
+        result = _bootstrap(lambda rng: float(os.getpid()), 0.0, self.REPS, SeededGenerator(0), 2)
+        assert os.getpid() not in result.ks
+
+    def test_failed_refits_counted_and_scored_as_hits(self):
+        def replicate(rng):
+            if rng.random() < 0.3:
+                raise DegenerateSampleError("too few values")
+            return 0.0
+
+        result = self.by_workers(
+            lambda w: _bootstrap(replicate, 0.5, self.REPS, SeededGenerator(166), w)
+        )
+        assert 0 < result.failed < self.REPS
+        assert result.ks.count(math.inf) == result.failed
+        assert result.p == result.failed / self.REPS
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ArithmeticError("refit broke")
+
+        s = sample_lognormal(LognormalModel(3.0, 1.0), 200, SeededGenerator(167))
+        fit = fit_lognormal(s)
+        monkeypatch.setattr(estimation, "fit_lognormal", broken)
+        with pytest.raises(ArithmeticError, match="refit broke"):
+            bootstrap_pvalue(s, fit, 100, SeededGenerator(168), workers=2)
+
+    def test_dead_worker_raises(self):
+        parent = os.getpid()
+
+        def replicate(rng):
+            if os.getpid() != parent:
+                os._exit(3)  # as if the worker had been killed
+            return 0.0
+
+        with pytest.raises(BrokenProcessPool):
+            _bootstrap(replicate, 0.0, self.REPS, SeededGenerator(0), 2)
+
+    def test_nonconverged_refits_counted(self, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise FitConvergenceError("stalled")
+
+        s = sample_lognormal(LognormalModel(3.0, 1.0), 200, SeededGenerator(169))
+        fit = fit_lognormal(s)
+        monkeypatch.setattr(estimation, "fit_lognormal", stalled)
+        result = bootstrap_pvalue(s, fit, 100, SeededGenerator(170), workers=2)
+        assert result.failed == 100
+        assert result.p == 1.0
+
+    def test_rejects_no_workers(self):
+        with pytest.raises(ValueError):
+            _bootstrap(lambda rng: 0.0, 0.0, 100, SeededGenerator(0), 0)
+
+
 class TestCompareFamilies:
+    def test_passed_fits_give_equal_report(self):
+        s = sample_lognormal(LognormalModel(5.0, 1.5), 3_000, SeededGenerator(133))
+        xmin = float(np.median(s.values))
+        pl = fit_powerlaw_tail(s, xmin=xmin)
+        ln = fit_lognormal(s, xmin=xmin)
+        assert compare_families(s, xmin, powerlaw=pl, lognormal=ln) == compare_families(s, xmin)
+
+    def test_rejects_fit_at_other_cutoff(self):
+        s = sample_lognormal(LognormalModel(5.0, 1.5), 3_000, SeededGenerator(134))
+        xmin = float(np.median(s.values))
+        with pytest.raises(ValueError):
+            compare_families(s, xmin, powerlaw=fit_powerlaw_tail(s, xmin=2 * xmin))
+        with pytest.raises(ValueError):
+            compare_families(s, xmin, lognormal=fit_powerlaw_tail(s, xmin=xmin))
+
     def test_sign_on_powerlaw_data(self):
         s = sample_powerlaw(PowerLawModel(2.0, 1.0), 20_000, SeededGenerator(130))
         report = compare_families(s, xmin=float(np.median(s.values)))
@@ -395,7 +566,7 @@ class TestBinnedFit:
         edges = np.exp(np.linspace(0.0, 12.0, 61))
         h = self.binned_from_model(PowerLawModel(1.8, 1.0), edges, 20_000, 143)
         fit = fit_binned(h, "powerlaw")
-        p = bootstrap_pvalue_binned(h, fit, 100, SeededGenerator(144))
+        p = bootstrap_pvalue_binned(h, fit, 100, SeededGenerator(144)).p
         assert p > 0.05
 
 
