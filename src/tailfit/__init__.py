@@ -12,7 +12,6 @@ from .estimation import (
     FitReport,
     bootstrap_pvalue,
     compare_families,
-    edf,
     fit_binned,
     fit_edf_normal,
     fit_lognormal,
@@ -56,7 +55,6 @@ __all__ = [
     "bin_log",
     "bootstrap_pvalue",
     "compare_families",
-    "edf",
     "expected_counts",
     "fit_binned",
     "fit_edf_normal",

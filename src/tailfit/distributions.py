@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
+from scipy.special import log_ndtr, ndtr, ndtri
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -105,8 +105,6 @@ class LognormalModel:
         return out if out.ndim else float(out)
 
     def quantile(self, p):
-        from scipy.special import ndtri
-
         p = np.asarray(p, dtype=float)
         out = np.exp(self.mu + self.sigma * ndtri(p))
         return out if out.ndim else float(out)

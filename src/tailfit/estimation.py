@@ -107,32 +107,6 @@ class EdfNormalFit:
     low_confidence: bool
 
 
-class Edf:
-    """Empirical distribution function; right-continuous step function."""
-
-    def __init__(self, values: np.ndarray):
-        values = np.asarray(values, dtype=float)
-        if values.size == 0:
-            raise ValueError("empty sample")
-        self.values = np.sort(values)
-        self.n = values.size
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.searchsorted(self.values, t, side="right") / self.n
-        return out if out.ndim else float(out)
-
-    def left_limit(self, t):
-        """EDF(t-), the value just below t."""
-        t = np.asarray(t, dtype=float)
-        out = np.searchsorted(self.values, t, side="left") / self.n
-        return out if out.ndim else float(out)
-
-
-def edf(s: DurationSample) -> Edf:
-    return Edf(s.values)
-
-
 def ks_distance(sample, cdf) -> float:
     """sup over sample points of max(|EDF(x-) - F(x)|, |EDF(x) - F(x)|).
 
@@ -162,9 +136,10 @@ def ks_distance(sample, cdf) -> float:
     return float(hi.max())
 
 
-def _powerlaw_tail_ks(values, below, upto, xmin, gamma) -> float:
+def _powerlaw_tail_ks(values, below, upto, xmin, gamma) -> tuple[float, int, int]:
     """KS distance between the EDF of a sorted tail and the power-law cdf
-    1 - (x/xmin)**(1-gamma).
+    1 - (x/xmin)**(1-gamma), and the runs where its lower and upper
+    deviations peak.
 
     The tail comes as runs of equal values: each run's value, and the
     number of tail points below the run and up to its end (the last of
@@ -172,29 +147,36 @@ def _powerlaw_tail_ks(values, below, upto, xmin, gamma) -> float:
     EDF steps through consecutive levels, so the largest deviation sits at
     one of the run's two ends, and the result equals the maximum over
     every point bit for bit. Passing every point as a run of one is exact
-    too.
+    too. The two runs are indices into the arrays passed in.
     """
     m = upto[-1]
     f = -np.expm1((1.0 - gamma) * np.log(values / xmin))
-    return float(max(np.max(np.abs(below / m - f)), np.max(np.abs(upto / m - f))))
+    lo = below / m
+    lo -= f
+    np.abs(lo, out=lo)
+    hi = upto / m
+    hi -= f
+    np.abs(hi, out=hi)
+    p_lo, p_hi = int(lo.argmax()), int(hi.argmax())
+    return float(max(lo[p_lo], hi[p_hi])), p_lo, p_hi
 
 
-# The cutoff scan bounds every candidate's KS from below on a grid made of
-# every KS_GRID_STRIDE-th run of equal values, KS_BOUND_BLOCK (candidate,
-# grid run) pairs at a time, so that memory does not grow with the sample
-# and each block stays in cache.
-KS_GRID_STRIDE = 16
+# The cutoff scan bounds every candidate's KS from below, first on a grid
+# of about KS_GRID_RUNS evenly spaced runs of equal values, then at the
+# runs where each exactly scored candidate's deviations peak. The bound
+# kernel takes KS_BOUND_BLOCK (candidate, grid run) pairs at a time, so
+# that memory does not grow with the sample and each block stays in cache.
+KS_GRID_RUNS = 16
 KS_BOUND_BLOCK = 1 << 15
 
 
-def _ks_lower_bounds(x, starts, ends, cand, m, gamma) -> np.ndarray:
+def _ks_lower_bounds(x, g_starts, g_ends, cand, m, gamma) -> np.ndarray:
     """For each candidate cutoff x[cand[k]] with tail size m[k] and exponent
-    gamma[k], the largest of its exact KS terms at the grid runs in its
-    tail. These are the float operations of ``_powerlaw_tail_ks`` on a
-    subset of its runs, so each bound is at most the candidate's KS.
+    gamma[k], the largest of its exact KS terms at the grid runs (given by
+    their ascending start and end indices into x) in its tail. These are
+    the float operations of ``_powerlaw_tail_ks`` on a subset of its runs,
+    so each bound is at most the candidate's KS.
     """
-    g_starts = starts[::KS_GRID_STRIDE]
-    g_ends = ends[::KS_GRID_STRIDE]
     g_x = x[g_starts]
     lb = np.empty(cand.size)
     k0 = 0
@@ -236,14 +218,19 @@ def fit_powerlaw_tail(
     as the cutoff; the candidate minimizing the tail KS distance wins,
     ties broken toward the smallest cutoff (largest tail).
 
-    The scan is pruned but exact. The KS distance is a maximum over the
-    tail's runs of equal values; the same terms, taken on every
-    ``KS_GRID_STRIDE``-th run only, give each candidate a lower bound.
-    Candidates are then scored in full in ascending bound order until a
-    bound exceeds the best KS found: such a candidate, and every later
-    one, has a KS above the best and cannot win or tie. Bounds and full
-    scores share every float operation, so the winner, its KS and the
-    tie-break are those of scoring every candidate.
+    The scan is pruned but exact. The KS distance is a maximum of terms,
+    two per run of equal values in the tail; any subset of those terms
+    gives a lower bound. Every candidate is first bounded on about
+    ``KS_GRID_RUNS`` evenly spaced runs. Then, repeatedly, the open
+    candidate with the smallest bound is scored in full, and every open
+    candidate's terms at the two runs where that score's deviations peak
+    raise its bound; a candidate whose bound exceeds the best KS found is
+    closed, since it cannot win or tie. The scan stops when every open
+    bound exceeds the best KS. Deviation curves of neighbouring cutoffs
+    peak at nearly the same runs, so a few such columns prune most
+    candidates. Bounds and full scores share every float operation, so
+    the winner, its KS and the tie-break are those of scoring every
+    candidate.
     """
     x = s.values
     n = x.size
@@ -251,7 +238,7 @@ def fit_powerlaw_tail(
         i = int(np.searchsorted(x, xmin, side="left"))
         return _powerlaw_fit_at(x, i, float(xmin), n)
 
-    first = np.flatnonzero(np.diff(x, prepend=np.nan) != 0)  # distinct starts
+    first = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))  # distinct starts
     if first.size < 2:
         raise DegenerateSampleError("all sample values are equal")
     if first.size < min_tail:
@@ -264,7 +251,7 @@ def fit_powerlaw_tail(
         raise DegenerateSampleError("no cutoff candidate leaves a large enough tail")
     if candidates.size > max_candidates:
         pick = np.linspace(0, candidates.size - 1, max_candidates).astype(int)
-        candidates = candidates[np.unique(pick)]
+        candidates = candidates[pick[np.diff(pick, prepend=-1) != 0]]  # pick ascends
 
     log_x = np.log(x)
     suffix = np.concatenate([np.cumsum(log_x[::-1])[::-1], [0.0]])
@@ -280,15 +267,30 @@ def fit_powerlaw_tail(
     ends = np.append(first[1:], n)
     run_x = x[first]
     runs = np.searchsorted(first, candidates)
-    lb = _ks_lower_bounds(x, first, ends, candidates, m, gammas)
+    stride = max(1, first.size // KS_GRID_RUNS)
+    lb = _ks_lower_bounds(x, first[::stride], ends[::stride], candidates, m, gammas)
     best_ks, best = np.inf, -1
-    for k in np.argsort(lb):
+    for _ in range(candidates.size):
+        k = int(np.argmin(lb))  # scored candidates hold an infinite bound
         if lb[k] > best_ks:
             break
         r, i = runs[k], candidates[k]
-        ks = _powerlaw_tail_ks(run_x[r:], first[r:] - i, ends[r:] - i, run_x[r], gammas[k])
+        ks, p_lo, p_hi = _powerlaw_tail_ks(
+            run_x[r:], first[r:] - i, ends[r:] - i, run_x[r], gammas[k]
+        )
         if ks < best_ks or (ks == best_ks and k < best):
             best_ks, best = ks, k
+        lb[k] = np.inf
+        # Raise the bounds of the candidates that can still win or tie
+        # (a bound equal to best_ks may belong to a smaller cutoff's tie).
+        open_ = np.flatnonzero(lb <= best_ks)
+        cols = np.unique([r + p_lo, r + p_hi])
+        lb[open_] = np.maximum(
+            lb[open_],
+            _ks_lower_bounds(
+                x, first[cols], ends[cols], candidates[open_], m[open_], gammas[open_]
+            ),
+        )
     i = int(candidates[best])
     gamma = float(gammas[best])
     xmin_c = float(x[i])
@@ -314,7 +316,7 @@ def _powerlaw_fit_at(x: np.ndarray, i: int, xmin: float, n: int) -> FitReport:
     if log_ratio_sum <= 0:
         raise DegenerateSampleError("tail has no spread above the cutoff")
     gamma = 1.0 + m / log_ratio_sum
-    ks = _powerlaw_tail_ks(tail, np.arange(m), np.arange(1, m + 1), xmin, gamma)
+    ks, _, _ = _powerlaw_tail_ks(tail, np.arange(m), np.arange(1, m + 1), xmin, gamma)
     loglik = m * math.log(gamma - 1.0) + m * (gamma - 1.0) * math.log(xmin) - gamma * float(
         np.sum(np.log(tail))
     )
@@ -380,10 +382,11 @@ SIGMA_MAX = 5.0
 
 
 def _truncated_lognormal_mle(y: np.ndarray, w: float) -> tuple[float, float, float]:
-    mu0 = float(np.mean(y))
-    sigma0 = min(max(float(np.std(y)), 1e-6), SIGMA_MAX)
-    if np.std(y) == 0:
+    sd = float(np.std(y))
+    if sd == 0:
         raise DegenerateSampleError("tail has no spread")
+    mu0 = float(np.mean(y))
+    sigma0 = min(max(sd, 1e-6), SIGMA_MAX)
 
     m = y.size
 

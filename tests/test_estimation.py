@@ -25,7 +25,6 @@ from tailfit import (
     bin_log,
     bootstrap_pvalue,
     compare_families,
-    edf,
     expected_counts,
     fit_binned,
     fit_edf_normal,
@@ -107,12 +106,22 @@ def reference_scan(s, min_tail=50, max_candidates=1000):
     return FitReport("powerlaw", (float(gamma), xmin), xmin, m, ks, float(loglik), n)
 
 
+def record_scored_cutoffs(monkeypatch) -> list:
+    """Patch the scan's exact KS kernel to record the cutoff of every call."""
+    kernel = estimation._powerlaw_tail_ks
+    scored = []
+    monkeypatch.setattr(
+        estimation, "_powerlaw_tail_ks", lambda *a: scored.append(a[3]) or kernel(*a)
+    )
+    return scored
+
+
 @st.composite
 def scan_inputs(draw):
     """Samples the pruned scan must get exactly right: all-distinct values,
     tie-heavy lattices floor(x/step)*step, a long run of equal top values
     (candidates in it have no spread above the cutoff), and few distinct
-    values (tails shorter than one grid stride).
+    values (fewer runs than ``KS_GRID_RUNS``).
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(2, 3000))
@@ -136,15 +145,6 @@ def scan_inputs(draw):
 
 
 class TestEdf:
-    def test_step_values(self):
-        f = edf(DurationSample(np.array([1.0, 2.0, 2.0, 4.0])))
-        assert f(0.5) == 0.0
-        assert f(1.0) == 0.25
-        assert f(2.0) == 0.75
-        assert f(3.0) == 0.75
-        assert f(4.0) == 1.0
-        assert f.left_limit(2.0) == 0.25
-
     def test_ks_matches_scipy(self):
         rng = np.random.default_rng(0)
         x = np.exp(rng.normal(0, 1, 500))
@@ -267,6 +267,44 @@ class TestPowerlawFit:
             tail_fit = fit_powerlaw_tail(s, xmin=cutoff)
             assert tail_fit.ks == 0.5
         assert (fit.xmin, fit.ks, fit.params) == (1.0, 0.5, expected.params)
+
+    def test_ks_tie_kept_open_on_one_grid_run(self, monkeypatch):
+        # With one grid run only cutoff 1 bounds above 0 (at 0.5), so
+        # cutoff 2 is scored first with KS 0.5; cutoff 1, whose bound
+        # equals that KS, must still be scored and win the tie.
+        monkeypatch.setattr(estimation, "KS_GRID_RUNS", 1)
+        s = DurationSample(np.array([1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 3.0, 4.0]))
+        scored = record_scored_cutoffs(monkeypatch)
+        fit = fit_powerlaw_tail(s, min_tail=1)
+        assert scored[:2] == [2.0, 1.0]
+        assert fit == reference_scan(s, min_tail=1)
+
+    # One grid run leaves the pruning to the peak-run columns alone; more
+    # grid runs than any sample has put every run on the grid.
+    @pytest.mark.parametrize("grid_runs", [1, 10**9])
+    @settings(max_examples=300, deadline=None)
+    @given(case=scan_inputs())
+    def test_pruned_scan_equals_brute_force_at_grid_extremes(self, grid_runs, case):
+        s, options = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimation, "KS_GRID_RUNS", grid_runs)
+            try:
+                expected = reference_scan(s, **options)
+            except DegenerateSampleError as exc:
+                with pytest.raises(DegenerateSampleError, match=re.escape(str(exc))):
+                    fit_powerlaw_tail(s, **options)
+                return
+            assert fit_powerlaw_tail(s, **options) == expected
+
+    def test_readme_lattice_scores_few_candidates(self, monkeypatch):
+        # The README sample on the hour lattice: the exact answer from a
+        # handful of full scorings out of 1000 candidates.
+        s, _ = quantize(
+            sample_lognormal(LognormalModel(10.45, 2.75), 41184, SeededGenerator(1)), 3600.0
+        )
+        scored = record_scored_cutoffs(monkeypatch)
+        assert fit_powerlaw_tail(s) == reference_scan(s)
+        assert len(scored) <= 10
 
     @settings(max_examples=100, deadline=None)
     @given(scan_inputs(), st.floats(0.0, 0.99))
