@@ -281,7 +281,7 @@ def cmd_fit(args) -> int:
         comparison = estimation.compare_families(
             sample, pl.xmin, powerlaw=pl if fixed else None, lognormal=ln if fixed else None
         )
-        row["LR"] = comparison.lr
+        row["LR"], row["LR_p"] = comparison.lr, comparison.p_value
     if dropped is not None:
         row["quantize_dropped"] = dropped
     _write_json(row, args.output)
@@ -327,12 +327,6 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _verdict(lr) -> str:
-    if lr is None or lr == 0:
-        return "undecided"
-    return "powerlaw" if lr > 0 else "lognormal"
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -354,7 +348,7 @@ def _render_table(rows: list[dict], fmt: str) -> str:
             _fmt(row.get("loglik_p")),
             _fmt(row.get("LR")),
             _fmt(row.get("n")),
-            _verdict(row.get("LR")),
+            estimation.verdict(row.get("LR"), row.get("LR_p")),
         ])
     if fmt == "csv":
         lines = [",".join(REPORT_COLUMNS)]

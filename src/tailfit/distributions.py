@@ -30,8 +30,7 @@ class PowerLawModel:
 
     def logpdf(self, t):
         t = _check_domain(t, self.tau, "t must be >= tau")
-        g, tau = self.gamma, self.tau
-        out = math.log(g - 1.0) + (g - 1.0) * math.log(tau) - g * np.log(t)
+        out = powerlaw_logpdf_of_log(np.log(t), self.gamma, self.tau)
         return out if out.ndim else float(out)
 
     def pdf(self, t):
@@ -79,9 +78,7 @@ class LognormalModel:
 
     def logpdf(self, t):
         t = _check_domain(t, 0.0, "t must be positive", strict=True)
-        log_t = np.log(t)
-        z = (log_t - self.mu) / self.sigma
-        out = -0.5 * z * z - log_t - math.log(self.sigma) - _LOG_SQRT_2PI
+        out = lognormal_logpdf_of_log(np.log(t), self.mu, self.sigma)
         return out if out.ndim else float(out)
 
     def pdf(self, t):
@@ -100,8 +97,7 @@ class LognormalModel:
     def logsf(self, t):
         """log Pr[X > t], stable far in the tail."""
         t = _check_domain(t, 0.0, "t must be positive", strict=True)
-        z = (np.log(t) - self.mu) / self.sigma
-        out = log_ndtr(-z)
+        out = lognormal_logsf_of_log(np.log(t), self.mu, self.sigma)
         return out if out.ndim else float(out)
 
     def quantile(self, p):
@@ -159,6 +155,24 @@ class LognormalModel:
         if b <= 0:
             raise ValueError("scale factor must be positive")
         return LognormalModel(self.mu + math.log(b), self.sigma)
+
+
+def powerlaw_logpdf_of_log(y, gamma: float, tau: float):
+    """Power-law log-density log f(x) at y = ln x, for x >= tau; no domain check."""
+    return math.log(gamma - 1.0) + (gamma - 1.0) * math.log(tau) - gamma * y
+
+
+def lognormal_logpdf_of_log(y, mu: float, sigma: float):
+    """Lognormal log-density log phi(z) - log sigma - y at y = ln x, with
+    z = (y - mu) / sigma; no domain check.
+    """
+    z = (y - mu) / sigma
+    return -0.5 * z * z - _LOG_SQRT_2PI - math.log(sigma) - y
+
+
+def lognormal_logsf_of_log(y, mu: float, sigma: float):
+    """Lognormal log Pr[X > x] at y = ln x, stable far in the tail."""
+    return log_ndtr(-(y - mu) / sigma)
 
 
 def _check_domain(t, lower, message, strict=False):

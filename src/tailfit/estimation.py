@@ -16,10 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
-from scipy.special import erfc, log_ndtr, ndtr, ndtri, ndtri_exp
+from scipy.special import erfc, ndtr, ndtri_exp
 
 from .binning import Histogram
-from .distributions import _LOG_SQRT_2PI, LognormalModel, PowerLawModel
+from .distributions import (
+    LognormalModel,
+    PowerLawModel,
+    lognormal_logpdf_of_log,
+    lognormal_logsf_of_log,
+    powerlaw_logpdf_of_log,
+)
 from .sample import DurationSample, _is_sorted
 
 DEFAULT_MIN_TAIL = 50
@@ -54,9 +60,9 @@ class FitReport:
         return LognormalModel(*self.params)
 
     def to_json_dict(self, dist: str | None = None) -> dict:
-        """Columns dist, gamma, p, xmin, mu, sigma, loglik_p, LR, n; absent
+        """Columns dist, gamma, p, xmin, mu, sigma, loglik_p, LR, LR_p, n; absent
         fields null. ``p`` is the power-law bootstrap p, ``loglik_p`` the
-        lognormal-side one; LR is filled by the comparison stage, not here.
+        lognormal-side one; the comparison stage fills LR and its Vuong p LR_p.
         """
         row = {
             "dist": dist or self.family,
@@ -67,6 +73,7 @@ class FitReport:
             "sigma": None,
             "loglik_p": None,
             "LR": None,
+            "LR_p": None,
             "n": self.n_total,
         }
         if self.family == "powerlaw":
@@ -107,12 +114,22 @@ class EdfNormalFit:
     low_confidence: bool
 
 
+def _edf_gap(levels: np.ndarray, f: np.ndarray) -> tuple[float, int]:
+    """The KS kernel: max |levels - f| over EDF levels and cdf values, and its
+    first index. ``levels`` is overwritten.
+    """
+    np.subtract(levels, f, out=levels)
+    np.abs(levels, out=levels)
+    k = int(levels.argmax())
+    return float(levels[k]), k
+
+
 def ks_distance(sample, cdf) -> float:
     """sup over sample points of max(|EDF(x-) - F(x)|, |EDF(x) - F(x)|).
 
     A ``DurationSample``, or an array already in ascending order, is used
     as it is; any other array is sorted first. Besides the cdf values, the
-    two deviations take one n-sized buffer each, computed in place.
+    two deviations take one n-sized buffer each, one after the other.
     """
     if isinstance(sample, DurationSample):
         values = sample.values
@@ -126,14 +143,12 @@ def ks_distance(sample, cdf) -> float:
     f = np.asarray(cdf(values), dtype=float)
     hi = np.arange(1, n + 1, dtype=float)
     hi /= n
-    hi -= f
-    np.abs(hi, out=hi)
+    d_hi, _ = _edf_gap(hi, f)
+    del hi
     lo = np.arange(0, n, dtype=float)
     lo /= n
-    lo -= f
-    np.abs(lo, out=lo)
-    np.maximum(hi, lo, out=hi)
-    return float(hi.max())
+    d_lo, _ = _edf_gap(lo, f)
+    return max(d_hi, d_lo)
 
 
 def _powerlaw_tail_ks(values, below, upto, xmin, gamma) -> tuple[float, int, int]:
@@ -151,14 +166,9 @@ def _powerlaw_tail_ks(values, below, upto, xmin, gamma) -> tuple[float, int, int
     """
     m = upto[-1]
     f = -np.expm1((1.0 - gamma) * np.log(values / xmin))
-    lo = below / m
-    lo -= f
-    np.abs(lo, out=lo)
-    hi = upto / m
-    hi -= f
-    np.abs(hi, out=hi)
-    p_lo, p_hi = int(lo.argmax()), int(hi.argmax())
-    return float(max(lo[p_lo], hi[p_hi])), p_lo, p_hi
+    d_lo, p_lo = _edf_gap(below / m, f)
+    d_hi, p_hi = _edf_gap(upto / m, f)
+    return max(d_lo, d_hi), p_lo, p_hi
 
 
 # The cutoff scan bounds every candidate's KS from below, first on a grid
@@ -235,8 +245,7 @@ def fit_powerlaw_tail(
     x = s.values
     n = x.size
     if xmin is not None:
-        i = int(np.searchsorted(x, xmin, side="left"))
-        return _powerlaw_fit_at(x, i, float(xmin), n)
+        return _powerlaw_fit_at(x, int(np.searchsorted(x, xmin)), float(xmin), n)
 
     first = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))  # distinct starts
     if first.size < 2:
@@ -292,19 +301,7 @@ def fit_powerlaw_tail(
             ),
         )
     i = int(candidates[best])
-    gamma = float(gammas[best])
-    xmin_c = float(x[i])
-    m = n - i
-    loglik = m * math.log(gamma - 1.0) + m * (gamma - 1.0) * math.log(xmin_c) - gamma * suffix[i]
-    return FitReport(
-        family="powerlaw",
-        params=(gamma, xmin_c),
-        xmin=xmin_c,
-        n_tail=m,
-        ks=best_ks,
-        loglik=float(loglik),
-        n_total=n,
-    )
+    return _powerlaw_report(float(gammas[best]), float(x[i]), n - i, n, best_ks, suffix[i])
 
 
 def _powerlaw_fit_at(x: np.ndarray, i: int, xmin: float, n: int) -> FitReport:
@@ -317,18 +314,15 @@ def _powerlaw_fit_at(x: np.ndarray, i: int, xmin: float, n: int) -> FitReport:
         raise DegenerateSampleError("tail has no spread above the cutoff")
     gamma = 1.0 + m / log_ratio_sum
     ks, _, _ = _powerlaw_tail_ks(tail, np.arange(m), np.arange(1, m + 1), xmin, gamma)
-    loglik = m * math.log(gamma - 1.0) + m * (gamma - 1.0) * math.log(xmin) - gamma * float(
-        np.sum(np.log(tail))
-    )
-    return FitReport(
-        family="powerlaw",
-        params=(float(gamma), float(xmin)),
-        xmin=float(xmin),
-        n_tail=m,
-        ks=ks,
-        loglik=loglik,
-        n_total=n,
-    )
+    return _powerlaw_report(gamma, xmin, m, n, ks, float(np.sum(np.log(tail))))
+
+
+def _powerlaw_report(gamma, xmin, m, n, ks, sum_log_x) -> FitReport:
+    """The power-law fit to the m of n values at or above xmin, with its
+    closed-form log-likelihood from the sum of their logs.
+    """
+    loglik = m * math.log(gamma - 1.0) + m * (gamma - 1.0) * math.log(xmin) - gamma * sum_log_x
+    return FitReport("powerlaw", (gamma, xmin), xmin, m, ks, float(loglik), n)
 
 
 def fit_lognormal(s: DurationSample, xmin: float | None = None) -> FitReport:
@@ -345,12 +339,11 @@ def fit_lognormal(s: DurationSample, xmin: float | None = None) -> FitReport:
         sigma = float(np.sqrt(np.mean((logs - mu) ** 2)))
         if sigma == 0:
             raise DegenerateSampleError("all sample values are equal")
-        model = LognormalModel(mu, sigma)
-        ks = ks_distance(s, model.cdf)
-        loglik = float(np.sum(model.logpdf(x)))
+        ks = ks_distance(s, LognormalModel(mu, sigma).cdf)
+        loglik = float(np.sum(lognormal_logpdf_of_log(logs, mu, sigma)))
         return FitReport("lognormal", (mu, sigma), None, n, ks, loglik, n)
 
-    tail = x[int(np.searchsorted(x, xmin, side="left")):]
+    tail = x[int(np.searchsorted(x, xmin)):]
     m = tail.size
     if m < 2:
         raise DegenerateSampleError("need at least two tail values")
@@ -363,13 +356,6 @@ def fit_lognormal(s: DurationSample, xmin: float | None = None) -> FitReport:
     log_sf_xmin = model.logsf(xmin)
     ks = ks_distance(tail, lambda t: -np.expm1(model.logsf(t) - log_sf_xmin))
     return FitReport("lognormal", (mu, sigma), float(xmin), m, ks, loglik, n)
-
-
-def _truncated_lognormal_loglik(y: np.ndarray, w: float, mu: float, sigma: float) -> float:
-    z = (y - mu) / sigma
-    # log f_X(x) = log phi(z) - log sigma - y; tail renormalizer log Sf(w).
-    per_point = -0.5 * z * z - _LOG_SQRT_2PI - math.log(sigma) - y
-    return float(np.sum(per_point) - y.size * log_ndtr(-(w - mu) / sigma))
 
 
 # Upper bound on sigma in the truncated fit. On data that is genuinely
@@ -392,8 +378,12 @@ def _truncated_lognormal_mle(y: np.ndarray, w: float) -> tuple[float, float, flo
 
     def negloglik(theta):
         mu, log_sigma = theta
+        sigma = math.exp(log_sigma)
+        # Tail log-likelihood: the log-densities less m times log Sf(w).
+        log_sf = lognormal_logsf_of_log(w, mu, sigma)
+        loglik = np.sum(lognormal_logpdf_of_log(y, mu, sigma)) - m * log_sf
         # Mean (not sum) keeps the objective O(1) for the line search.
-        return -_truncated_lognormal_loglik(y, w, mu, math.exp(log_sigma)) / m
+        return -float(loglik) / m
 
     mu_lo = w - 5.0 * SIGMA_MAX**2
     mu_hi = float(np.max(y)) + 10.0
@@ -466,7 +456,7 @@ def bootstrap_pvalue(
     fit_options = fit_options or {}
     n = fit.n_total
     xmin = fit.xmin if fit.xmin is not None else 0.0
-    body = s.values[s.values < xmin]
+    body = s.values[:int(np.searchsorted(s.values, xmin))]
     p_tail = fit.n_tail / n
     model = fit.model()
 
@@ -493,10 +483,8 @@ def bootstrap_pvalue(
 
 def _draw_tail(model, fit: FitReport, k: int, rng: np.random.Generator) -> np.ndarray:
     u = rng.random(k)
-    if fit.family == "powerlaw":
+    if fit.family == "powerlaw" or fit.xmin is None:
         return model.quantile(u)
-    if fit.xmin is None:
-        return np.exp(model.mu + model.sigma * ndtri(u))
     # Truncated lognormal tail: solve S(x) = (1 - u) * S(xmin) for the
     # survival function S in log space, since 1 - cdf(xmin) rounds to 0
     # when the cutoff sits far above the body. Rounding can put a draw
@@ -636,7 +624,7 @@ def compare_families(
     ``fit_powerlaw_tail(s, xmin=xmin)`` and ``fit_lognormal(s, xmin=xmin)``,
     which are then not computed again.
     """
-    tail = s.values[s.values >= xmin]
+    tail = s.values[int(np.searchsorted(s.values, xmin)):]
     m = tail.size
     if m < 2:
         raise DegenerateSampleError("need at least two tail values to compare")
@@ -646,19 +634,11 @@ def compare_families(
     pl = powerlaw if powerlaw is not None else fit_powerlaw_tail(s, xmin=xmin)
     ln = lognormal if lognormal is not None else fit_lognormal(s, xmin=xmin)
 
-    pl_model = pl.model()
-    ln_model = ln.model()
-    log_pl = pl_model.logpdf(tail)
     y = np.log(tail)
-    z = (y - ln_model.mu) / ln_model.sigma
-    log_ln = (
-        -0.5 * z * z
-        - _LOG_SQRT_2PI
-        - math.log(ln_model.sigma)
-        - y
-        - log_ndtr(-(math.log(xmin) - ln_model.mu) / ln_model.sigma)
-    )
-    terms = log_pl - log_ln
+    mu, sigma = ln.params
+    log_sf = lognormal_logsf_of_log(math.log(xmin), mu, sigma)
+    log_ln = lognormal_logpdf_of_log(y, mu, sigma) - log_sf
+    terms = powerlaw_logpdf_of_log(y, *pl.params) - log_ln
     lr = float(np.sum(terms))
     sigma_lr = float(np.std(terms))
     if sigma_lr == 0:
@@ -666,13 +646,21 @@ def compare_families(
     else:
         normalized = lr / (sigma_lr * math.sqrt(m))
         p_value = float(erfc(abs(normalized) / math.sqrt(2.0)))
-    if p_value < threshold and lr > 0:
-        verdict = "powerlaw"
-    elif p_value < threshold and lr < 0:
-        verdict = "lognormal"
-    else:
-        verdict = "undecided"
-    return ComparisonReport(lr, float(normalized), p_value, verdict, float(xmin), m, pl, ln)
+    return ComparisonReport(
+        lr, float(normalized), p_value, verdict(lr, p_value, threshold), float(xmin), m, pl, ln
+    )
+
+
+def verdict(lr: float | None, p: float | None, threshold: float = VERDICT_THRESHOLD) -> str:
+    """The family a log-likelihood ratio lr favors when its Vuong p is below
+    ``threshold``, by the sign of lr; "undecided" otherwise or if either is None.
+    """
+    if lr is not None and p is not None and p < threshold:
+        if lr > 0:
+            return "powerlaw"
+        if lr < 0:
+            return "lognormal"
+    return "undecided"
 
 
 def fit_binned(
@@ -740,13 +728,18 @@ def _fit_binned_lognormal(edges, counts, n) -> FitReport:
     if not res.success:
         raise FitConvergenceError(f"binned lognormal optimizer failed: {res.message}")
     mu, sigma = float(res.x[0]), float(math.exp(res.x[1]))
-    model = LognormalModel(mu, sigma)
-    cdf = model.cdf(edges)
-    total = cdf[-1] - cdf[0]
-    model_cum = (cdf - cdf[0]) / total
-    emp_cum = np.concatenate([[0.0], np.cumsum(counts)]) / n
-    ks = float(np.max(np.abs(emp_cum - model_cum)))
+    ks = _binned_ks(LognormalModel(mu, sigma), edges, counts)
     return FitReport("lognormal", (mu, sigma), None, n, ks, float(-res.fun), n)
+
+
+def _binned_ks(model, edges, counts) -> float:
+    """KS distance between binned counts and the model conditioned on the
+    histogram's range: the KS kernel at the bin edges, where the EDF is known.
+    """
+    cdf = model.cdf(edges)
+    model_cum = (cdf - cdf[0]) / (cdf[-1] - cdf[0])
+    emp_cum = np.concatenate([[0.0], np.cumsum(counts)]) / counts.sum()
+    return _edf_gap(emp_cum, model_cum)[0]
 
 
 def _fit_binned_powerlaw(edges, counts, n, min_tail, min_tail_bins) -> FitReport:
@@ -777,14 +770,9 @@ def _fit_binned_powerlaw(edges, counts, n, min_tail, min_tail_bins) -> FitReport
 def _binned_powerlaw_gamma(edges, counts, xmin):
     log_edges = np.log(edges / xmin)
 
-    def cum(gamma):
-        # Conditional cdf on [xmin, top edge].
-        raw = -np.expm1((1.0 - gamma) * log_edges)
-        return raw / raw[-1]
-
     def negloglik(gamma):
-        c = cum(gamma)
-        probs = np.diff(c)
+        raw = -np.expm1((1.0 - gamma) * log_edges)
+        probs = np.diff(raw / raw[-1])  # of the cdf conditioned on [xmin, top edge]
         if np.any(probs[counts > 0] <= 0):
             return 1e300  # finite so the bounded scalar search stays defined
         return _binned_negloglik(np.log(np.maximum(probs, 1e-300)), counts)
@@ -804,10 +792,7 @@ def _binned_powerlaw_gamma(edges, counts, xmin):
     if not res.success or not np.isfinite(res.fun):
         return None
     gamma = float(res.x)
-    model_cum = cum(gamma)
-    emp_cum = np.concatenate([[0.0], np.cumsum(counts)]) / counts.sum()
-    ks = float(np.max(np.abs(emp_cum - model_cum)))
-    return gamma, float(-res.fun), ks
+    return gamma, float(-res.fun), _binned_ks(PowerLawModel(gamma, xmin), edges, counts)
 
 
 def fit_edf_normal(s: DurationSample, tolerance: float = 0.05) -> EdfNormalFit:

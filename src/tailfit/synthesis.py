@@ -79,9 +79,7 @@ def sample_powerlaw(m: PowerLawModel, n: int, g: SeededGenerator) -> DurationSam
     """
     if n < 1:
         raise ValueError("sample size must be at least 1")
-    rng = g.rng()
-    u = rng.random(n)
-    values = m.tau * (1.0 - u) ** (-1.0 / (m.gamma - 1.0))
+    values = m.quantile(g.rng().random(n))
     return DurationSample(np.sort(values))
 
 

@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from tailfit import estimation
+from tailfit import compare_families, estimation, fit_powerlaw_tail, quantize
 from tailfit.cli import main
+from tailfit.ingestion import read_durations_text
 
 EVENTS = """actor,timestamp
 alice,100
@@ -134,10 +135,13 @@ class TestFit:
         )
         assert code == 0
         row = json.loads(out.read_text())
-        assert set(row) == {"dist", "gamma", "p", "xmin", "mu", "sigma", "loglik_p", "LR", "n"}
+        assert set(row) == {
+            "dist", "gamma", "p", "xmin", "mu", "sigma", "loglik_p", "LR", "LR_p", "n"
+        }
         assert row["gamma"] is not None
         assert row["mu"] is not None
         assert row["LR"] is not None
+        assert 0.0 <= row["LR_p"] <= 1.0
         assert row["n"] == 2000
 
     def test_single_family(self, tmp_path, capsys):
@@ -147,7 +151,7 @@ class TestFit:
         )
         assert code == 0
         row = json.loads(out)
-        assert row["gamma"] is None and row["LR"] is None
+        assert row["gamma"] is None and row["LR"] is None and row["LR_p"] is None
         assert row["mu"] == pytest.approx(5.0, abs=0.2)
 
     def test_degenerate_sample_exit_two(self, tmp_path, capsys):
@@ -268,6 +272,34 @@ class TestReport:
         code, out, _ = run(["report", str(fit_json)], capsys)
         assert code == 0
         assert out.startswith("| dist")
+
+    def test_verdict_is_the_comparison_verdict(self, tmp_path, capsys):
+        # The README sample on the hour lattice: LR is negative, but its
+        # Vuong p is about 0.37, so the comparison is undecided, and the
+        # report must say so rather than read the sign of LR alone.
+        sample = tmp_path / "durations.txt"
+        run(["simulate", "lognormal", "--mu", "10.45", "--sigma", "2.75", "-n", "41184",
+             "--seed", "1", "--output", str(sample)], capsys)
+        fit_json = tmp_path / "fit.json"
+        code, _, err = run(["fit", "--input", str(sample), "--quantize", "3600",
+                            "--dist", "both", "--output", str(fit_json)], capsys)
+        assert code == 0, err
+        code, out, _ = run(["report", str(fit_json), "--format", "csv"], capsys)
+        assert code == 0
+        cell = out.strip().split("\n")[1].split(",")[-1]
+        with open(sample) as fh:
+            q, _ = quantize(read_durations_text(fh), 3600.0)
+        comparison = compare_families(q, fit_powerlaw_tail(q).xmin)
+        assert comparison.lr < 0
+        assert comparison.verdict == "undecided"
+        assert cell == comparison.verdict
+
+    def test_row_without_lr_p_is_undecided(self, tmp_path, capsys):
+        row = tmp_path / "old.json"
+        row.write_text(json.dumps({"dist": "old", "LR": -50.0, "n": 100}))
+        code, out, _ = run(["report", str(row), "--format", "csv"], capsys)
+        assert code == 0
+        assert out.strip().split("\n")[1].split(",")[-1] == "undecided"
 
     def test_schema_mismatch_reported(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -7,9 +7,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from tailfit import LognormalModel, PowerLawModel
+from tailfit.distributions import _LOG_SQRT_2PI
+
+
+def reference_lognormal_logpdf(t, mu, sigma):
+    """LognormalModel.logpdf as first written: the same four terms as the
+    shared log-density, summed in another order.
+    """
+    log_t = np.log(t)
+    z = (log_t - mu) / sigma
+    return -0.5 * z * z - log_t - math.log(sigma) - _LOG_SQRT_2PI
 
 
 class TestPowerLaw:
@@ -89,6 +101,23 @@ class TestLognormal:
         m = LognormalModel(10.0, 2.0)
         assert np.isfinite(m.logpdf(1e300))
         assert np.isfinite(m.logsf(1e300))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(-30.0, 30.0),
+        st.floats(1e-3, 20.0),
+        st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=50),
+    )
+    def test_logpdf_within_six_ulps_of_first_version(self, mu, sigma, ts):
+        # Both orders add the same four floats with three roundings each,
+        # so they differ by at most 6 ulps of the sum of the terms' sizes.
+        t = np.array(ts)
+        log_t = np.log(t)
+        z = (log_t - mu) / sigma
+        size = 0.5 * z * z + np.abs(log_t) + abs(math.log(sigma)) + _LOG_SQRT_2PI
+        got = LognormalModel(mu, sigma).logpdf(t)
+        want = reference_lognormal_logpdf(t, mu, sigma)
+        assert np.all(np.abs(got - want) <= 6 * np.spacing(size))
 
     def test_logsf_deep_tail(self):
         m = LognormalModel(0.0, 1.0)

@@ -9,12 +9,14 @@ import os
 import re
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import optimize, stats
+from scipy.special import erfc, log_ndtr
 
 from tailfit import (
     DegenerateSampleError,
@@ -37,12 +39,14 @@ from tailfit import (
 from tailfit.binning import Histogram
 from tailfit import estimation
 from tailfit.binning import quantize
+from tailfit.distributions import _LOG_SQRT_2PI
 from tailfit.estimation import (
     FitConvergenceError,
     FitReport,
     _bootstrap,
     _draw_tail,
     bootstrap_pvalue_binned,
+    verdict,
 )
 
 
@@ -104,6 +108,61 @@ def reference_scan(s, min_tail=50, max_candidates=1000):
     m = n - i
     loglik = m * math.log(gamma - 1.0) + m * (gamma - 1.0) * math.log(xmin) - gamma * suffix[i]
     return FitReport("powerlaw", (float(gamma), xmin), xmin, m, ks, float(loglik), n)
+
+
+def reference_truncated_lognormal_loglik(y, w, mu, sigma):
+    """The truncated-lognormal tail log-likelihood as first written, on the
+    log-values y and the log-cutoff w.
+    """
+    z = (y - mu) / sigma
+    per_point = -0.5 * z * z - _LOG_SQRT_2PI - math.log(sigma) - y
+    return float(np.sum(per_point) - y.size * log_ndtr(-(w - mu) / sigma))
+
+
+def reference_vuong(tail, xmin, powerlaw, lognormal):
+    """compare_families' (lr, normalized, p) as first written, with both
+    families' log-densities inline.
+    """
+    gamma, tau = powerlaw.params
+    log_pl = math.log(gamma - 1.0) + (gamma - 1.0) * math.log(tau) - gamma * np.log(tail)
+    mu, sigma = lognormal.params
+    y = np.log(tail)
+    z = (y - mu) / sigma
+    log_ln = (
+        -0.5 * z * z
+        - _LOG_SQRT_2PI
+        - math.log(sigma)
+        - y
+        - log_ndtr(-(math.log(xmin) - mu) / sigma)
+    )
+    terms = log_pl - log_ln
+    lr = float(np.sum(terms))
+    sigma_lr = float(np.std(terms))
+    if sigma_lr == 0:
+        return lr, 0.0, 1.0
+    normalized = lr / (sigma_lr * math.sqrt(tail.size))
+    return lr, float(normalized), float(erfc(abs(normalized) / math.sqrt(2.0)))
+
+
+def reference_binned_lognormal_ks(edges, counts, mu, sigma):
+    """The binned lognormal fit's KS block as first written."""
+    cdf = LognormalModel(mu, sigma).cdf(edges)
+    total = cdf[-1] - cdf[0]
+    model_cum = (cdf - cdf[0]) / total
+    emp_cum = np.concatenate([[0.0], np.cumsum(counts)]) / counts.sum()
+    return float(np.max(np.abs(emp_cum - model_cum)))
+
+
+def reference_binned_powerlaw_ks(edges, counts, xmin, gamma):
+    """The binned power-law fit's KS block as first written."""
+    raw = -np.expm1((1.0 - gamma) * np.log(edges / xmin))
+    model_cum = raw / raw[-1]
+    emp_cum = np.concatenate([[0.0], np.cumsum(counts)]) / counts.sum()
+    return float(np.max(np.abs(emp_cum - model_cum)))
+
+
+def same_float(a, b) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
 
 
 def record_scored_cutoffs(monkeypatch) -> list:
@@ -367,6 +426,36 @@ class TestLognormalFit:
         )
         assert fit.loglik == pytest.approx(direct, rel=1e-6)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 400),
+        st.floats(-8.0, 8.0),
+        st.floats(math.log(1e-6), math.log(estimation.SIGMA_MAX)),
+    )
+    def test_truncated_objective_equals_first_version(self, seed, m, mu, log_sigma):
+        # The optimizer's objective, taken from the call that receives it,
+        # equals the first version at any point and at the optimum.
+        rng = np.random.default_rng(seed)
+        y = np.sort(rng.normal(rng.uniform(-5.0, 5.0), rng.uniform(0.1, 3.0), m))
+        w = float(y[0])
+        objectives = []
+
+        def minimize(fun, *args, **kwargs):
+            objectives.append(fun)
+            return optimize.minimize(fun, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimation, "optimize", SimpleNamespace(minimize=minimize))
+            try:
+                mu_hat, sigma_hat, loglik = estimation._truncated_lognormal_mle(y, w)
+            except FitConvergenceError:
+                mu_hat = None
+        want = reference_truncated_lognormal_loglik(y, w, mu, math.exp(log_sigma))
+        assert objectives[0](np.array([mu, log_sigma])) == -want / m
+        if mu_hat is not None:
+            assert loglik == reference_truncated_lognormal_loglik(y, w, mu_hat, sigma_hat) / m * m
+
     def test_degenerate_inputs(self):
         with pytest.raises(DegenerateSampleError):
             fit_lognormal(DurationSample(np.array([2.0])))
@@ -560,6 +649,35 @@ class TestCompareFamilies:
         with pytest.raises(DegenerateSampleError):
             compare_families(s, xmin=10.0)
 
+    @settings(max_examples=100, deadline=None)
+    @given(scan_inputs(), st.floats(0.0, 0.95))
+    def test_ratio_equals_first_version(self, case, q):
+        s, _ = case
+        xmin = float(np.quantile(s.values, q))
+        try:
+            report = compare_families(s, xmin)
+        except (DegenerateSampleError, FitConvergenceError):
+            return
+        tail = s.values[s.values >= xmin]
+        lr, normalized, p = reference_vuong(tail, xmin, report.powerlaw, report.lognormal)
+        assert (report.lr, report.normalized, report.p_value) == (lr, normalized, p)
+        assert report.verdict == verdict(lr, p)
+
+    @pytest.mark.parametrize(
+        "lr, p, want",
+        [
+            (2.0, 0.05, "powerlaw"),
+            (-2.0, 0.05, "lognormal"),
+            (-2.0, 0.1, "undecided"),  # p must be below the threshold
+            (-2.0, 0.5, "undecided"),
+            (0.0, 0.01, "undecided"),
+            (-2.0, None, "undecided"),
+            (None, None, "undecided"),
+        ],
+    )
+    def test_verdict(self, lr, p, want):
+        assert verdict(lr, p) == want
+
 
 class TestBinnedFit:
     def binned_from_model(self, model, edges, n, seed):
@@ -589,6 +707,46 @@ class TestBinnedFit:
         # lognormal looks locally straight on log-log axes.
         assert fit.xmin > math.exp(10.45 - 2.75**2)
         assert fit.n_tail >= 50
+
+    def test_ks_equals_first_version(self):
+        s, _ = quantize(
+            sample_lognormal(LognormalModel(10.45, 2.75), 5_000, SeededGenerator(145)), 3600.0
+        )
+        h = bin_log(s, 5)
+        ln = fit_binned(h, "lognormal")
+        assert ln.ks == reference_binned_lognormal_ks(h.edges, h.counts, *ln.params)
+        pl = fit_binned(h, "powerlaw")
+        j = int(np.searchsorted(h.edges, pl.xmin))
+        assert pl.ks == reference_binned_powerlaw_ks(
+            h.edges[j:], h.counts[j:], pl.xmin, pl.params[0]
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 40),
+        st.floats(-10.0, 10.0),
+        st.floats(0.05, 5.0),
+        st.floats(1.01, 8.0),
+    )
+    def test_binned_ks_kernel_equals_first_version(self, seed, bins, mu, sigma, gamma):
+        rng = np.random.default_rng(seed)
+        edges = np.exp(rng.uniform(-5.0, 5.0) + np.cumsum(rng.uniform(0.05, 2.0, bins + 1)))
+        counts = rng.integers(0, 50, bins)
+        counts[0] += 1
+        # Edges far out in one tail give a zero conditioning mass, and NaN.
+        with np.errstate(invalid="ignore", divide="ignore"):
+            self.check_binned_ks(edges, counts, mu, sigma, gamma)
+
+    def check_binned_ks(self, edges, counts, mu, sigma, gamma):
+        assert same_float(
+            estimation._binned_ks(LognormalModel(mu, sigma), edges, counts),
+            reference_binned_lognormal_ks(edges, counts, mu, sigma),
+        )
+        assert same_float(
+            estimation._binned_ks(PowerLawModel(gamma, edges[0]), edges, counts),
+            reference_binned_powerlaw_ks(edges, counts, edges[0], gamma),
+        )
 
     def test_needs_three_nonempty_bins(self):
         h = Histogram(np.array([1.0, 2.0, 4.0]), np.array([10, 20]), "log")
@@ -636,7 +794,9 @@ class TestReportSchema:
     def test_powerlaw_row(self):
         s = sample_powerlaw(PowerLawModel(2.0, 1.0), 500, SeededGenerator(160))
         row = fit_powerlaw_tail(s, xmin=1.0).to_json_dict()
-        assert set(row) == {"dist", "gamma", "p", "xmin", "mu", "sigma", "loglik_p", "LR", "n"}
+        assert set(row) == {
+            "dist", "gamma", "p", "xmin", "mu", "sigma", "loglik_p", "LR", "LR_p", "n"
+        }
         assert row["dist"] == "powerlaw"
         assert row["mu"] is None and row["sigma"] is None
         assert row["n"] == 500
