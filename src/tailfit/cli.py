@@ -57,8 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         metavar="N",
         default=None,
-        help="worker processes for fit's bootstrap replicates, capped by the usable "
-        "CPUs (default: $TAILFIT_THREADS, else 1); outputs are byte-identical for any N",
+        help="worker processes, capped by the usable CPUs, for fit's bootstrap replicates "
+        "and for parsing large event CSVs and reading and writing large duration text "
+        "files (default: $TAILFIT_THREADS, else 1); outputs are byte-identical for any N",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -143,17 +144,17 @@ def _open_out(path: str):
     return open(path, "w"), True
 
 
-def _read_sample(path: str) -> DurationSample:
+def _read_sample(path: str, threads: int) -> DurationSample:
     if path == "-":
         return ingestion.read_durations_text(sys.stdin)
     if path.endswith(".bin") or path.endswith(".tfd"):
         with open(path, "rb") as fh:
             return ingestion.read_durations_binary(fh)
     with open(path) as fh:
-        return ingestion.read_durations_text(fh)
+        return ingestion.read_durations_text(fh, threads)
 
 
-def _write_sample(s: DurationSample, path: str, fmt: str) -> None:
+def _write_sample(s: DurationSample, path: str, fmt: str, threads: int) -> None:
     if fmt == "bin":
         if path == "-":
             ingestion.write_durations_binary(s, sys.stdout.buffer)
@@ -163,7 +164,7 @@ def _write_sample(s: DurationSample, path: str, fmt: str) -> None:
         return
     out, close = _open_out(path)
     try:
-        ingestion.write_durations_text(s, out)
+        ingestion.write_durations_text(s, out, threads)
     finally:
         if close:
             out.close()
@@ -185,12 +186,12 @@ def _write_json(obj, path: str) -> None:
 def cmd_ingest(args) -> int:
     summary = ingestion.IngestSummary()
     with open(args.events) as fh:
-        events = ingestion.parse_events(fh, summary)
+        events = ingestion.parse_events(fh, summary, args.threads)
         sample, summary = ingestion.interevent_durations(
             events, direction=args.direction, summary=summary
         )
     ingestion.check_malformed_fraction(summary)
-    _write_sample(sample, args.output, args.format)
+    _write_sample(sample, args.output, args.format, args.threads)
     if args.summary:
         _write_json(summary.to_dict(), args.summary)
     return EXIT_OK
@@ -216,7 +217,7 @@ def cmd_simulate(args) -> int:
         sample = synthesis.sample_powerlaw(PowerLawModel(args.gamma, args.tau), args.n, g)
     else:
         sample = synthesis.sample_exp_of_exponential(args.gamma, args.tau, args.n, g)
-    _write_sample(sample, args.output, args.format)
+    _write_sample(sample, args.output, args.format, args.threads)
     return EXIT_OK
 
 
@@ -230,7 +231,7 @@ def _preprocess(sample: DurationSample, args) -> tuple[DurationSample, int | Non
 
 
 def cmd_bin(args) -> int:
-    sample = _read_sample(args.input)
+    sample = _read_sample(args.input, args.threads)
     sample, _ = _preprocess(sample, args)
     if args.log_bins is not None:
         hist = binning.bin_log(sample, args.log_bins)
@@ -245,7 +246,7 @@ def cmd_bin(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    sample = _read_sample(args.input)
+    sample = _read_sample(args.input, args.threads)
     sample, dropped = _preprocess(sample, args)
     g = SeededGenerator(args.seed)
 
@@ -289,7 +290,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    sample = _read_sample(args.input)
+    sample = _read_sample(args.input, args.threads)
     xmin = args.xmin
     if xmin is None:
         xmin = estimation.fit_powerlaw_tail(sample).xmin

@@ -11,8 +11,8 @@ their replicates can run in forked worker processes without changing p.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import optimize
@@ -26,6 +26,7 @@ from .distributions import (
     lognormal_logsf_of_log,
     powerlaw_logpdf_of_log,
 )
+from .pool import RANGES_PER_WORKER, even_ranges, run_ranges, usable_workers
 from .sample import DurationSample, _is_sorted
 
 DEFAULT_MIN_TAIL = 50
@@ -247,20 +248,43 @@ def fit_powerlaw_tail(
     if xmin is not None:
         return _powerlaw_fit_at(x, int(np.searchsorted(x, xmin)), float(xmin), n)
 
-    first = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))  # distinct starts
-    if first.size < 2:
+    new_run = x[1:] != x[:-1]
+    n_runs = 1 + int(np.count_nonzero(new_run))
+    if n_runs < 2:
         raise DegenerateSampleError("all sample values are equal")
-    if first.size < min_tail:
+    if n_runs < min_tail:
         raise DegenerateSampleError(
             f"need at least {min_tail} distinct values for cutoff selection "
-            f"(got {first.size})"
+            f"(got {n_runs})"
         )
-    candidates = first[first <= n - min_tail]
-    if candidates.size == 0:
+    if n_runs == n:
+        # Every value distinct: run r is x[r] alone, and the run arrays
+        # would be n-sized copies of x and of an arange.
+        first = ends = None
+        run_x = x
+    else:
+        first = np.flatnonzero(np.concatenate(([True], new_run)))  # run starts
+        ends = np.append(first[1:], n)
+        run_x = x[first]
+    del new_run
+
+    def run_bounds(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The start and end indices into x of the runs r."""
+        return (r, r + 1) if first is None else (first[r], ends[r])
+
+    # Candidate cutoffs are the starts of the runs that leave a tail of
+    # at least min_tail values.
+    if first is None:
+        eligible = n - min_tail + 1
+    else:
+        eligible = int(np.searchsorted(first, n - min_tail, side="right"))
+    if eligible <= 0:
         raise DegenerateSampleError("no cutoff candidate leaves a large enough tail")
-    if candidates.size > max_candidates:
-        pick = np.linspace(0, candidates.size - 1, max_candidates).astype(int)
-        candidates = candidates[pick[np.diff(pick, prepend=-1) != 0]]  # pick ascends
+    runs = np.arange(eligible)
+    if eligible > max_candidates:
+        pick = np.linspace(0, eligible - 1, max_candidates).astype(int)
+        runs = pick[np.diff(pick, prepend=-1) != 0]  # pick ascends
+    candidates = run_bounds(runs)[0]
 
     log_x = np.log(x)
     suffix = np.concatenate([np.cumsum(log_x[::-1])[::-1], [0.0]])
@@ -270,23 +294,25 @@ def fit_powerlaw_tail(
     keep = denom > 0  # otherwise all tail values equal the cutoff
     if not keep.any():
         raise DegenerateSampleError("no valid cutoff candidate")
-    candidates, m = candidates[keep], m[keep]
+    candidates, m, runs = candidates[keep], m[keep], runs[keep]
     gammas = 1.0 + m / denom[keep]
 
-    ends = np.append(first[1:], n)
-    run_x = x[first]
-    runs = np.searchsorted(first, candidates)
-    stride = max(1, first.size // KS_GRID_RUNS)
-    lb = _ks_lower_bounds(x, first[::stride], ends[::stride], candidates, m, gammas)
+    stride = max(1, n_runs // KS_GRID_RUNS)
+    lb = _ks_lower_bounds(
+        x, *run_bounds(np.arange(0, n_runs, stride)), candidates, m, gammas
+    )
     best_ks, best = np.inf, -1
     for _ in range(candidates.size):
         k = int(np.argmin(lb))  # scored candidates hold an infinite bound
         if lb[k] > best_ks:
             break
         r, i = runs[k], candidates[k]
-        ks, p_lo, p_hi = _powerlaw_tail_ks(
-            run_x[r:], first[r:] - i, ends[r:] - i, run_x[r], gammas[k]
-        )
+        if first is None:
+            below = np.arange(n - i)
+            upto = below + 1
+        else:
+            below, upto = first[r:] - i, ends[r:] - i
+        ks, p_lo, p_hi = _powerlaw_tail_ks(run_x[r:], below, upto, run_x[r], gammas[k])
         if ks < best_ks or (ks == best_ks and k < best):
             best_ks, best = ks, k
         lb[k] = np.inf
@@ -296,9 +322,7 @@ def fit_powerlaw_tail(
         cols = np.unique([r + p_lo, r + p_hi])
         lb[open_] = np.maximum(
             lb[open_],
-            _ks_lower_bounds(
-                x, first[cols], ends[cols], candidates[open_], m[open_], gammas[open_]
-            ),
+            _ks_lower_bounds(x, *run_bounds(cols), candidates[open_], m[open_], gammas[open_]),
         )
     i = int(candidates[best])
     return _powerlaw_report(float(gammas[best]), float(x[i]), n - i, n, best_ks, suffix[i])
@@ -530,51 +554,21 @@ def bootstrap_pvalue_binned(
     return _bootstrap(replicate, fit.ks, reps, g, workers)
 
 
-# Replicate index ranges handed to the pool per worker; more than one
-# lets a worker that finishes early take over the work of a slow one.
-RANGES_PER_WORKER = 4
-
-
 def _bootstrap(replicate, observed_ks: float, reps: int, g, workers: int) -> BootstrapResult:
     """Run ``replicate(g.substream(rep))`` for every rep in range(reps) and
     score each refit KS against the observed one.
 
-    With ``workers`` > 1 (capped by the usable CPUs and by ``reps``),
-    contiguous ranges of replicate indices run in a pool of forked
-    processes, which inherit ``replicate`` and everything it refers to.
-    Every replicate draws from its own substream and p is a hit count
-    over ``reps``, so the result is the same for any worker count.
+    With ``workers`` > 1, contiguous ranges of replicate indices run in
+    forked processes (``pool.run_ranges``), which inherit ``replicate``
+    and everything it refers to. Every replicate draws from its own
+    substream and p is a hit count over ``reps``, so the result is the
+    same for any worker count.
     """
     if reps < 100:
         raise ValueError("need at least 100 bootstrap replicates")
-    if workers < 1:
-        raise ValueError("need at least one worker")
-    workers = min(workers, _usable_cpus(), reps)
-    if workers > 1:
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            workers = 1
-    if workers == 1:
-        parts = [_replicates(replicate, g, 0, reps)]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        n_ranges = min(reps, workers * RANGES_PER_WORKER)
-        bounds = [reps * i // n_ranges for i in range(n_ranges + 1)]
-        # The executor forks every worker before it starts its own thread,
-        # and raises BrokenProcessPool if a worker dies, where a
-        # multiprocessing.Pool would wait for its lost results forever.
-        pool = ProcessPoolExecutor(
-            workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_set_worker_task,
-            initargs=((replicate, g),),
-        )
-        try:
-            parts = list(pool.map(_worker_replicates, zip(bounds[:-1], bounds[1:])))
-        finally:
-            pool.shutdown(cancel_futures=True)
+    workers = usable_workers(workers)
+    ranges = even_ranges(reps, workers * RANGES_PER_WORKER)
+    parts = run_ranges(partial(_replicates, replicate, g), ranges, workers)
     ks = tuple(k for part in parts for k in part)
     hits = sum(k >= observed_ks for k in ks)
     return BootstrapResult(hits / reps, ks, ks.count(math.inf))
@@ -589,25 +583,6 @@ def _replicates(replicate, g, start: int, stop: int) -> list[float]:
         except (DegenerateSampleError, FitConvergenceError):
             ks.append(math.inf)
     return ks
-
-
-# Set in each pool worker, from the parent's memory, before any range runs.
-_worker_task = None
-
-
-def _set_worker_task(task) -> None:
-    global _worker_task
-    _worker_task = task
-
-
-def _worker_replicates(bounds: tuple[int, int]) -> list[float]:
-    return _replicates(*_worker_task, *bounds)
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def compare_families(

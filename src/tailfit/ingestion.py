@@ -12,23 +12,41 @@ actor's gaps at once: one stable lexsort by (actor, timestamp), one diff,
 a mask at the actor boundaries, and one sort of the positive gaps.
 
 Duration text is written and read in blocks of ``CHUNK_ROWS`` values.
+
+With more than one worker, large inputs are parsed, formatted and read
+in contiguous ranges by forked processes (``pool.run_ranges``): a regular
+file in byte ranges that end after a newline, the values to format in
+ranges of whole blocks. Every result is put together in input order, so
+it is the same for any worker count.
 """
 from __future__ import annotations
 
+import codecs
 import csv
+import gc
+import io
+import os
+import stat
 import struct
 from array import array
 from dataclasses import dataclass, replace
-from itertools import compress, count, islice
+from functools import partial
+from itertools import chain, compress, count, islice
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
+from .pool import RANGES_PER_WORKER, even_ranges, run_ranges, usable_workers
 from .sample import DurationSample
 
 BINARY_MAGIC = b"TFD1"
 CHUNK_ROWS = 8192
+# Inputs smaller than this many bytes (of file, or of float64 values to
+# format) are handled in-process. Starting two forked workers took 7-20 ms
+# on a 2-core host, what one core spends parsing 0.4-1 MB of event CSV, so
+# a pool pays for itself only from a few MB on.
+POOL_MIN_BYTES = 4 << 20
 
 
 @dataclass
@@ -76,7 +94,7 @@ class EventBatch:
 
 
 def parse_events(
-    stream: TextIO, summary: IngestSummary | None = None
+    stream: TextIO, summary: IngestSummary | None = None, workers: int = 1
 ) -> Iterator[EventBatch]:
     """Stream EventBatches from CSV with header ``actor,timestamp[,direction]``.
 
@@ -86,9 +104,14 @@ def parse_events(
     afterwards (see ``check_malformed_fraction``) if more than half the
     lines were bad. Every chunk yields a batch, even one with no accepted
     events, so that its counts reach ``interevent_durations``.
+
+    With ``workers`` > 1, a large regular file without a ``"`` (a quoted
+    field may hold a newline) is parsed in byte ranges by forked workers;
+    the events, in file order, and the counts are the same.
     """
     if summary is None:
         summary = IngestSummary()
+    ranges = _line_ranges(stream, workers, forbid=b'"')
     reader = csv.reader(stream)
     header = next(reader, None)
     if header is None:
@@ -99,15 +122,47 @@ def parse_events(
     i_actor = columns.index("actor")
     i_ts = columns.index("timestamp")
     i_dir = columns.index("direction") if "direction" in columns else None
-    while rows := list(islice(reader, CHUNK_ROWS)):
-        summary.events_read += len(rows)
-        batch = _parse_chunk(rows, i_actor, i_ts, i_dir, summary)
-        summary.events_dropped += len(rows) - batch.codes.size
+    if ranges is None:
+        batches = _parse_rows(reader, i_actor, i_ts, i_dir)
+    else:
+        text_of = _range_reader(stream)
+
+        def parse_range(lo: int, hi: int) -> list[EventBatch]:
+            with text_of(lo, hi) as text:
+                reader = csv.reader(text)
+                if lo == 0:
+                    next(reader)  # the header, read above
+                return list(_parse_rows(reader, i_actor, i_ts, i_dir))
+
+        batches = chain.from_iterable(run_ranges(parse_range, ranges, workers))
+    for batch in batches:
+        summary.events_read += batch.parsed.events_read
+        summary.events_dropped += batch.parsed.events_dropped
+        yield replace(batch, parsed=summary)
+
+
+def _parse_rows(reader, i_actor, i_ts, i_dir) -> Iterator[EventBatch]:
+    """A batch per ``CHUNK_ROWS`` rows of ``reader``; each batch's
+    ``parsed`` counts the rows of its own chunk."""
+    while True:
+        # The chunk's row lists set off cyclic collections that find no
+        # garbage; the collector is back on before the batch is yielded.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            rows = list(islice(reader, CHUNK_ROWS))
+            batch = _parse_chunk(rows, i_actor, i_ts, i_dir) if rows else None
+        finally:
+            if enabled:
+                gc.enable()
+        if batch is None:
+            return
         yield batch
 
 
-def _parse_chunk(rows, i_actor, i_ts, i_dir, summary) -> EventBatch:
+def _parse_chunk(rows, i_actor, i_ts, i_dir) -> EventBatch:
     """The accepted rows of one chunk, as columns."""
+    n_rows = len(rows)
     try:
         actors = list(map(itemgetter(i_actor), rows))
         stamps = np.fromiter(map(float, map(itemgetter(i_ts), rows)), np.float64, len(rows))
@@ -142,7 +197,8 @@ def _parse_chunk(rows, i_actor, i_ts, i_dir, summary) -> EventBatch:
         directions = np.array(
             [row[i_dir] if len(row) > i_dir else None for row in rows], dtype=object
         )
-    return EventBatch(stamps, codes, list(first_row), directions, summary)
+    parsed = IngestSummary(events_read=n_rows, events_dropped=n_rows - stamps.size)
+    return EventBatch(stamps, codes, list(first_row), directions, parsed)
 
 
 def check_malformed_fraction(summary: IngestSummary) -> None:
@@ -263,9 +319,38 @@ def split_by_resolution(
     return out
 
 
-def read_durations_text(stream: TextIO) -> DurationSample:
-    """One decimal duration per line."""
+def read_durations_text(stream: TextIO, workers: int = 1) -> DurationSample:
+    """One decimal duration per line.
+
+    With ``workers`` > 1, a large regular file is read in byte ranges by
+    forked workers; the sample is the same.
+    """
     values = array("d")
+    ranges = _line_ranges(stream, workers)
+    if ranges is None:
+        bad = _read_lines(stream, values)
+    else:
+        text_of = _range_reader(stream)
+
+        def read_range(lo: int, hi: int) -> tuple[array, int]:
+            part = array("d")
+            with text_of(lo, hi) as text:
+                return part, _read_lines(text, part)
+
+        bad = 0
+        for part, part_bad in run_ranges(read_range, ranges, workers):
+            values.extend(part)
+            bad += part_bad
+    if not values:
+        raise ValueError("no durations in input")
+    if bad > len(values):
+        raise ValueError(f"{bad} malformed duration lines")
+    return DurationSample(np.sort(np.frombuffer(values, dtype=float)))
+
+
+def _read_lines(stream: TextIO, values: array) -> int:
+    """Append the durations of ``stream``'s lines to ``values``, skipping
+    blank lines; return the number of malformed lines."""
     bad = 0
     while lines := list(islice(stream, CHUNK_ROWS)):
         try:
@@ -282,18 +367,127 @@ def read_durations_text(stream: TextIO) -> DurationSample:
                 except ValueError:
                     bad += 1
         values.extend(block)
-    if not values:
-        raise ValueError("no durations in input")
-    if bad > len(values):
-        raise ValueError(f"{bad} malformed duration lines")
-    return DurationSample(np.sort(np.frombuffer(values, dtype=float)))
+    return bad
 
 
-def write_durations_text(s: DurationSample, stream: TextIO) -> None:
-    # repr of a Python float is the shortest exact decimal representation.
+def write_durations_text(s: DurationSample, stream: TextIO, workers: int = 1) -> None:
+    """One duration per line, as the shortest decimal that reads back to it.
+
+    With ``workers`` > 1, a large sample is formatted in ranges of whole
+    blocks by forked workers, and the parent writes each range's text as
+    it comes back.
+    """
     values = s.values
-    for lo in range(0, values.size, CHUNK_ROWS):
-        stream.write("\n".join(map(repr, values[lo : lo + CHUNK_ROWS].tolist())) + "\n")
+    workers = usable_workers(workers) if values.nbytes >= POOL_MIN_BYTES else 1
+    # In-process, each range is one block, so that one block's text is
+    # held at a time.
+    parts = workers * RANGES_PER_WORKER if workers > 1 else values.size
+    ranges = even_ranges(values.size, parts, align=CHUNK_ROWS)
+    for text in run_ranges(partial(_format_values, values), ranges, workers):
+        stream.write(text)
+
+
+def _format_values(values: np.ndarray, lo: int, hi: int) -> str:
+    # repr of a Python float is the shortest exact decimal representation.
+    return "".join(
+        "\n".join(map(repr, values[i : min(i + CHUNK_ROWS, hi)].tolist())) + "\n"
+        for i in range(lo, hi, CHUNK_ROWS)
+    )
+
+
+def _line_ranges(stream, workers: int, forbid: bytes = b"") -> list[tuple[int, int]] | None:
+    """About ``workers`` x ``RANGES_PER_WORKER`` byte ranges that cover the
+    regular file under ``stream``, each but the last ending just after a
+    newline byte; or None when the text is to be read from ``stream`` in
+    this process. That is so for one usable worker, a stream that is not
+    a regular file at its start, a file under ``POOL_MIN_BYTES``, an
+    encoding in which a newline byte may be part of another character,
+    and a file that holds ``forbid``.
+    """
+    workers = usable_workers(workers)
+    if workers == 1 or not hasattr(os, "pread"):
+        return None
+    try:
+        fd = stream.fileno()
+        info = os.fstat(fd)
+        at_start = stream.tell() == 0
+    except (OSError, ValueError):  # no file descriptor, or no position
+        return None
+    size = info.st_size
+    if (
+        not at_start
+        or not stat.S_ISREG(info.st_mode)
+        or size < POOL_MIN_BYTES
+        or not _ascii_compatible(getattr(stream, "encoding", None))
+    ):
+        return None
+    if forbid and any(forbid in block for block in _blocks(fd, 0, size)):
+        return None
+    parts = workers * RANGES_PER_WORKER
+    bounds = [0]
+    for i in range(1, parts):
+        cut = _after_newline(fd, size * i // parts, size)
+        if bounds[-1] < cut < size:
+            bounds.append(cut)
+    bounds.append(size)
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _ascii_compatible(encoding) -> bool:
+    """Whether every byte below 0x80 always stands for that ASCII
+    character, so that a file can be cut after any newline byte."""
+    try:
+        name = codecs.lookup(encoding).name
+    except (LookupError, TypeError):
+        return False
+    return name in ("ascii", "utf-8") or name.startswith(("iso8859-", "cp125"))
+
+
+def _blocks(fd: int, lo: int, hi: int, size: int = 1 << 20) -> Iterator[bytes]:
+    """Bytes lo..hi of the file, a block at a time."""
+    while lo < hi and (block := os.pread(fd, min(size, hi - lo), lo)):
+        yield block
+        lo += len(block)
+
+
+def _after_newline(fd: int, pos: int, size: int) -> int:
+    """The offset just after the first newline byte at or after ``pos``,
+    or ``size`` if there is none."""
+    for block in _blocks(fd, pos, size, 1 << 16):
+        k = block.find(b"\n")
+        if k >= 0:
+            return pos + k + 1
+        pos += len(block)
+    return size
+
+
+def _range_reader(stream) -> Callable[[int, int], TextIO]:
+    """A function from (lo, hi) to bytes lo..hi of ``stream``'s file, read
+    with ``os.pread`` (which leaves the file offset alone) and decoded with
+    the stream's encoding and universal newlines, as ``open`` does."""
+    fd, encoding, errors = stream.fileno(), stream.encoding, stream.errors
+
+    def text(lo: int, hi: int) -> TextIO:
+        raw = _FileRange(fd, lo, hi)
+        return io.TextIOWrapper(io.BufferedReader(raw), encoding=encoding, errors=errors)
+
+    return text
+
+
+class _FileRange(io.RawIOBase):
+    """Bytes lo..hi of an open file, read with ``os.pread``."""
+
+    def __init__(self, fd: int, lo: int, hi: int):
+        self.fd, self.pos, self.end = fd, lo, hi
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        data = os.pread(self.fd, min(len(buffer), self.end - self.pos), self.pos)
+        buffer[: len(data)] = data
+        self.pos += len(data)
+        return len(data)
 
 
 def read_durations_binary(stream) -> DurationSample:

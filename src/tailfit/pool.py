@@ -1,0 +1,89 @@
+"""Run a task over contiguous ranges of its input in forked worker processes.
+
+The bootstrap's replicate ranges and ingestion's byte and value ranges
+all go through ``run_ranges``. Workers are forked, so they inherit the
+task and everything it refers to (samples, open files, closures) from the
+parent's memory; only the range bounds and each range's result are
+pickled.
+"""
+from __future__ import annotations
+
+import os
+
+# Ranges handed to the pool per worker; more than one lets a worker that
+# finishes early take over the work of a slow one.
+RANGES_PER_WORKER = 4
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def usable_workers(workers: int) -> int:
+    """``workers`` capped by the usable CPUs, or 1 where processes cannot fork."""
+    if workers < 1:
+        raise ValueError("need at least one worker")
+    workers = min(workers, _usable_cpus())
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return 1
+    return workers
+
+
+def run_ranges(task, ranges, workers: int):
+    """Yield ``task(lo, hi)`` for each ``(lo, hi)`` in ``ranges``, in order.
+
+    With more than one usable worker (see ``usable_workers``, and at most
+    one per range) the ranges run in a pool of forked processes, and each
+    result is yielded as soon as it and those before it are back, so the
+    caller can consume them while later ranges still run. An exception
+    raised by the task reaches the caller with its own type; a worker that
+    dies raises ``BrokenProcessPool``.
+    """
+    workers = min(usable_workers(workers), len(ranges))
+    if workers <= 1:
+        for lo, hi in ranges:
+            yield task(lo, hi)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # The executor forks every worker before it starts its own thread,
+    # and raises BrokenProcessPool if a worker dies, where a
+    # multiprocessing.Pool would wait for its lost results forever.
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_set_worker_task,
+        initargs=(task,),
+    )
+    try:
+        yield from pool.map(_run_worker_task, ranges)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def even_ranges(n: int, parts: int, align: int = 1) -> list[tuple[int, int]]:
+    """[0, n) cut into at most ``parts`` contiguous ranges of nearly equal
+    size, each starting at a multiple of ``align``."""
+    blocks = -(-n // align)
+    parts = max(1, min(parts, blocks))
+    bounds = [min(n, blocks * i // parts * align) for i in range(parts + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+# Set in each pool worker, from the parent's memory, before any range runs.
+_worker_task = None
+
+
+def _set_worker_task(task) -> None:
+    global _worker_task
+    _worker_task = task
+
+
+def _run_worker_task(bounds: tuple[int, int]):
+    return _worker_task(*bounds)

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from tailfit import compare_families, estimation, fit_powerlaw_tail, quantize
+from tailfit import compare_families, estimation, fit_powerlaw_tail, ingestion, pool, quantize
 from tailfit.cli import main
 from tailfit.ingestion import read_durations_text
 
@@ -43,6 +43,36 @@ class TestIngest:
         summary = json.loads(summary_path.read_text())
         assert summary["events_read"] == 6
         assert summary["durations_emitted"] == 4
+
+    def test_threads_do_not_change_output(self, tmp_path, capsys, monkeypatch):
+        # Every input runs in worker ranges: the pool threshold is one byte.
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(ingestion, "POOL_MIN_BYTES", 1)
+        monkeypatch.setattr(ingestion, "CHUNK_ROWS", 64)
+        rng = np.random.default_rng(5)
+        events = tmp_path / "events.csv"
+        actors, stamps = rng.integers(0, 30, 3000), rng.random(3000) * 1e4
+        rows = "".join(f"u{a},{t:.3f}\n" for a, t in zip(actors, stamps))
+        events.write_text("actor,timestamp\n" + rows)
+        outputs = []
+        for threads in ("1", "2", "3"):
+            paths = [tmp_path / f"{name}{threads}" for name in ("durations", "summary", "fit")]
+            code, _, err = run(
+                ["--threads", threads, "ingest", "--events", str(events),
+                 "--output", str(paths[0]), "--summary", str(paths[1])],
+                capsys,
+            )
+            assert code == 0, err
+            code, _, err = run(
+                ["--threads", threads, "fit", "--input", str(paths[0]), "--dist", "both",
+                 "--xmin", "100", "--output", str(paths[2])],
+                capsys,
+            )
+            assert code == 0, err
+            outputs.append([path.read_bytes() for path in paths])
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+        assert json.loads(outputs[0][1])["events_read"] == 3000
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code, _, err = run(["ingest", "--events", str(tmp_path / "nope.csv")], capsys)
@@ -181,7 +211,7 @@ class TestFit:
         assert json.loads(out1)["p"] is not None
 
     def test_threads_do_not_change_output(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(estimation, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
         sample = self.make_sample(tmp_path, capsys, kind="lognormal", n=800)
         outputs = []
         for threads in ("1", "2"):

@@ -37,7 +37,7 @@ from tailfit import (
     sample_powerlaw,
 )
 from tailfit.binning import Histogram
-from tailfit import estimation
+from tailfit import estimation, pool
 from tailfit.binning import quantize
 from tailfit.distributions import _LOG_SQRT_2PI
 from tailfit.estimation import (
@@ -515,7 +515,7 @@ class TestBootstrapWorkers:
 
     @pytest.fixture(autouse=True)
     def three_cpus(self, monkeypatch):
-        monkeypatch.setattr(estimation, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 3)
 
     def by_workers(self, run):
         results = [run(w) for w in (1, 2, 3)]

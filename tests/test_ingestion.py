@@ -1,7 +1,10 @@
 """Event-log parsing and inter-event duration extraction."""
 import csv
 import io
+import os
+import tempfile
 from array import array
+from contextlib import contextmanager
 from typing import NamedTuple
 from unittest import mock
 
@@ -17,7 +20,7 @@ from tailfit import (
     parse_events,
     split_by_resolution,
 )
-from tailfit import ingestion
+from tailfit import ingestion, pool
 from tailfit.ingestion import (
     check_malformed_fraction,
     read_durations_binary,
@@ -271,11 +274,13 @@ STAMPS = ["nan", "inf", "-3", "1_000", " 12 ", "", "x", "-0", "1e3", "2.5", "0"]
     str(k) for k in range(8)
 ]
 ACTORS = ["", "a", "b", "c,d", 'q"r', " e"]
+PLAIN_ACTORS = ["", "a", "b", " e"]  # none is quoted in CSV
+QUOTED_ACTORS = ACTORS + ["m\nn"]  # a newline in a quoted field
 DIRECTIONS = ["outbound", "inbound", ""]
 
 
 @st.composite
-def event_logs(draw):
+def event_logs(draw, actors=ACTORS):
     """CSV text with columns in any order, extra columns, malformed stamps,
     short rows, blank lines, empty and quoted actors, and duplicate and
     unsorted timestamps, with or without a direction column."""
@@ -287,7 +292,7 @@ def event_logs(draw):
     header = [draw(st.sampled_from([n, n.upper(), f" {n} "])) for n in names]
     rows = [header]
     fields = {
-        "actor": st.sampled_from(ACTORS),
+        "actor": st.sampled_from(actors),
         "timestamp": st.sampled_from(STAMPS),
         "direction": st.sampled_from(DIRECTIONS),
         "extra": st.sampled_from(["", "z"]),
@@ -423,3 +428,197 @@ class TestDurationIO:
     def test_text_empty_raises(self):
         with pytest.raises(ValueError):
             read_durations_text(io.StringIO(""))
+
+
+def on_disk(data: bytes, run):
+    """``run(path)`` with ``data`` in a file at ``path``."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "input")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        return run(path)
+
+
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+def with_line_ends(text: str, end: str, trailing: bool) -> bytes:
+    text = text.replace("\n", end)
+    if not trailing:
+        text = text.rstrip(end)
+    return text.encode()
+
+
+def from_workers(exc: BaseException) -> bool:
+    """Whether a pool worker raised ``exc`` (the executor chains the
+    worker's traceback to it)."""
+    return type(exc.__cause__).__name__ == "_RemoteTraceback"
+
+
+WORKERS = (1, 2, 3)
+
+
+class TestWorkerRanges:
+    """Parsing, formatting and reading in ranges by forked workers give
+    the serial results exactly. The pool threshold is lowered to one byte
+    and the CPU cap lifted, so that three workers really run on any host;
+    CHUNK_ROWS is small, so that a range holds several chunks."""
+
+    @contextmanager
+    def small_pool(self, chunk):
+        with mock.patch.multiple(ingestion, CHUNK_ROWS=chunk, POOL_MIN_BYTES=1):
+            with mock.patch.object(pool, "_usable_cpus", lambda: 3):
+                yield
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([PLAIN_ACTORS, QUOTED_ACTORS]).flatmap(event_logs),
+        st.sampled_from([None, "outbound"]),
+        st.integers(1, 6),
+        LINE_ENDS,
+        st.booleans(),
+    )
+    def test_parse_matches_serial(self, text, direction, chunk, end, trailing):
+        def run(path):
+            results = []
+            for workers in WORKERS:
+                with open(path, encoding="utf-8") as fh:
+                    events = events_of(parse_events(fh, workers=workers))
+                got = []
+                for per_actor in (False, True):
+                    shared = IngestSummary()
+                    with open(path, encoding="utf-8") as fh:
+                        got.append(comparable(outcome(
+                            lambda: interevent_durations(
+                                parse_events(fh, shared, workers), direction, shared, per_actor
+                            )
+                        )))
+                    got.append(shared.to_dict())
+                results.append((events, got))
+            return results
+
+        with self.small_pool(chunk):
+            results = on_disk(with_line_ends(text, end, trailing), run)
+        assert results[1] == results[0]
+        assert results[2] == results[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([PLAIN_ACTORS, QUOTED_ACTORS]).flatmap(event_logs),
+        LINE_ENDS,
+        st.booleans(),
+    )
+    def test_ranges_split_after_newlines_unless_quoted(self, text, end, trailing):
+        data = with_line_ends(text, end, trailing)
+
+        def run(path):
+            with open(path, encoding="utf-8") as fh:
+                return ingestion._line_ranges(fh, 3, forbid=b'"')
+
+        with self.small_pool(1):
+            ranges = on_disk(data, run)
+        if b'"' in data or not data:
+            assert ranges is None
+            return
+        assert ranges[0][0] == 0 and ranges[-1][1] == len(data)
+        assert len(ranges) <= 3 * pool.RANGES_PER_WORKER
+        for (lo, hi), (next_lo, _) in zip(ranges, ranges[1:]):
+            assert lo < hi == next_lo
+            assert data[hi - 1 : hi] == b"\n"
+        if b"\n" not in data[:-1]:
+            assert len(ranges) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(duration_lines(), st.integers(1, 6), LINE_ENDS, st.booleans())
+    def test_read_and_write_match_serial(self, lines, chunk, end, trailing):
+        data = with_line_ends("".join(f"{line}\n" for line in lines), end, trailing)
+
+        def read(path):
+            results = []
+            for workers in WORKERS:
+                with open(path, encoding="utf-8") as fh:
+                    got = outcome(read_durations_text, fh, workers)
+                results.append(got if isinstance(got, tuple) else got.values.tobytes())
+            return results
+
+        def write(sample, workers):
+            def run(path):
+                with open(path, "w", encoding="utf-8") as fh:
+                    write_durations_text(sample, fh, workers)
+                with open(path, "rb") as fh:
+                    return fh.read()
+
+            return on_disk(b"", run)
+
+        with self.small_pool(chunk):
+            results = on_disk(data, read)
+            assert results[1] == results[0]
+            assert results[2] == results[0]
+            if isinstance(results[0], tuple):
+                return
+            sample = DurationSample(np.frombuffer(results[0]))
+            written = [write(sample, workers) for workers in WORKERS]
+        assert written[0] == "".join(f"{v!r}\n" for v in sample.values.tolist()).encode()
+        assert written[1] == written[0]
+        assert written[2] == written[0]
+
+    def test_quoted_file_takes_one_range(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text("actor,timestamp\n" + "a,1\n" * 50 + '"b",2\n')
+        with self.small_pool(1), open(path) as fh:
+            assert ingestion._line_ranges(fh, 3) is not None
+            assert ingestion._line_ranges(fh, 3, forbid=b'"') is None
+
+    def test_other_encodings_take_one_range(self, tmp_path):
+        path = tmp_path / "durations.txt"
+        path.write_text("1.5\n" * 50, encoding="utf-16")
+        with self.small_pool(1), open(path, encoding="utf-16") as fh:
+            assert ingestion._line_ranges(fh, 3) is None
+            assert read_durations_text(fh, 3).n == 50
+
+    def test_malformed_lines_counted_over_all_ranges(self, tmp_path):
+        # The first ranges hold only malformed lines, the file fewer of
+        # them than values; then the other way round.
+        few, many = tmp_path / "few.txt", tmp_path / "many.txt"
+        few.write_text("x\n" * 30 + "1.5\n" * 100)
+        many.write_text("1.5\n" * 10 + "x\n" * 30)
+        with self.small_pool(1):
+            for workers in WORKERS:
+                with open(few) as fh:
+                    assert read_durations_text(fh, workers).n == 100
+                with open(many) as fh, pytest.raises(ValueError, match="30 malformed"):
+                    read_durations_text(fh, workers)
+
+    def test_small_file_takes_one_range(self, tmp_path):
+        path = tmp_path / "durations.txt"
+        path.write_text("1.5\n" * 50)
+        with mock.patch.object(pool, "_usable_cpus", lambda: 3), open(path) as fh:
+            assert ingestion._line_ranges(fh, 3) is None
+
+    def big_csv(self, tmp_path, bad_line: bytes) -> str:
+        """A log whose bad line lies past what the parent reads for the header."""
+        path = tmp_path / "events.csv"
+        path.write_bytes(b"actor,timestamp\n" + b"a,1\n" * 5000 + bad_line + b"a,2\n" * 5000)
+        return str(path)
+
+    def parse_all(self, path, workers):
+        with open(path, encoding="utf-8") as fh:
+            return interevent_durations(parse_events(fh, workers=workers))
+
+    def test_decode_error_in_worker_reaches_caller(self, tmp_path):
+        path = self.big_csv(tmp_path, b"\xff\xfe,3\n")
+        with pytest.raises(UnicodeDecodeError):
+            self.parse_all(path, 1)
+        with self.small_pool(8192), pytest.raises(UnicodeDecodeError) as caught:
+            self.parse_all(path, 2)
+        assert from_workers(caught.value)
+
+    def test_csv_error_in_worker_reaches_caller(self, tmp_path):
+        # A field over csv.field_size_limit() (a NUL byte raised csv.Error
+        # only before Python 3.11).
+        path = self.big_csv(tmp_path, b"a" * (csv.field_size_limit() + 1) + b",3\n")
+        with pytest.raises(csv.Error):
+            self.parse_all(path, 1)
+        with self.small_pool(8192), pytest.raises(csv.Error) as caught:
+            self.parse_all(path, 2)
+        assert from_workers(caught.value)
