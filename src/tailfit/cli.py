@@ -8,6 +8,7 @@ byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -42,7 +43,7 @@ def main(argv=None) -> int:
     except (DegenerateSampleError, FitConvergenceError) as exc:
         print(f"error: degenerate-data: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except ValueError as exc:
+    except (ValueError, csv.Error) as exc:
         print(f"error: invalid-input: {exc}", file=sys.stderr)
         return EXIT_IO
 
@@ -184,12 +185,9 @@ def _write_json(obj, path: str) -> None:
 
 
 def cmd_ingest(args) -> int:
-    summary = ingestion.IngestSummary()
     with open(args.events) as fh:
-        events = ingestion.parse_events(fh, summary, args.threads)
-        sample, summary = ingestion.interevent_durations(
-            events, direction=args.direction, summary=summary
-        )
+        events = ingestion.parse_events(fh, args.threads)
+        sample, summary = ingestion.interevent_durations(events, direction=args.direction)
     ingestion.check_malformed_fraction(summary)
     _write_sample(sample, args.output, args.format, args.threads)
     if args.summary:

@@ -356,13 +356,7 @@ def fit_lognormal(s: DurationSample, xmin: float | None = None) -> FitReport:
     x = s.values
     n = x.size
     if xmin is None:
-        if n < 2:
-            raise DegenerateSampleError("need at least two values")
-        logs = np.log(x)
-        mu = float(np.mean(logs))
-        sigma = float(np.sqrt(np.mean((logs - mu) ** 2)))
-        if sigma == 0:
-            raise DegenerateSampleError("all sample values are equal")
+        logs, mu, sigma = _log_moments(x)
         ks = ks_distance(s, LognormalModel(mu, sigma).cdf)
         loglik = float(np.sum(lognormal_logpdf_of_log(logs, mu, sigma)))
         return FitReport("lognormal", (mu, sigma), None, n, ks, loglik, n)
@@ -380,6 +374,18 @@ def fit_lognormal(s: DurationSample, xmin: float | None = None) -> FitReport:
     log_sf_xmin = model.logsf(xmin)
     ks = ks_distance(tail, lambda t: -np.expm1(model.logsf(t) - log_sf_xmin))
     return FitReport("lognormal", (mu, sigma), float(xmin), m, ks, loglik, n)
+
+
+def _log_moments(x: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """ln x, its mean and its RMS deviation: the closed-form lognormal MLE."""
+    if x.size < 2:
+        raise DegenerateSampleError("need at least two values")
+    logs = np.log(x)
+    mu = float(np.mean(logs))
+    sigma = float(np.sqrt(np.mean((logs - mu) ** 2)))
+    if sigma == 0:
+        raise DegenerateSampleError("all sample values are equal")
+    return logs, mu, sigma
 
 
 # Upper bound on sigma in the truncated fit. On data that is genuinely
@@ -777,13 +783,7 @@ def fit_edf_normal(s: DurationSample, tolerance: float = 0.05) -> EdfNormalFit:
     a deviation above ``tolerance`` flags model misfit (e.g. a small-value
     excess the MLE absorbs but the EDF shape exposes).
     """
-    if s.n < 2:
-        raise DegenerateSampleError("need at least two values")
-    logs = np.log(s.values)
-    mle_mu = float(np.mean(logs))
-    mle_sigma = float(np.sqrt(np.mean((logs - mle_mu) ** 2)))
-    if mle_sigma == 0:
-        raise DegenerateSampleError("all sample values are equal")
+    logs, mle_mu, mle_sigma = _log_moments(s.values)
     targets = (np.arange(1, s.n + 1) - 0.5) / s.n
 
     def residuals(theta):

@@ -4,7 +4,9 @@ samples.
 The event CSV is read in chunks of ``CHUNK_ROWS`` rows, and each chunk
 becomes an ``EventBatch`` of columns: the accepted timestamps, actor codes
 into the chunk's own actor names, and the direction column if there is
-one. ``interevent_durations`` keeps every accepted timestamp once, as two
+one. Each batch also carries its chunk's counts of rows read and dropped;
+``interevent_durations`` adds them up and is the one stage that fills an
+``IngestSummary``. It keeps every accepted timestamp once, as two
 columns of 12 bytes per event (a float64 timestamp and an int32 actor
 code, actors numbered in first-seen order), plus one chunk of rows, so
 memory still grows with the number of events. It then takes every
@@ -29,7 +31,7 @@ import os
 import stat
 import struct
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from itertools import chain, compress, count, islice
 from operator import itemgetter
@@ -58,13 +60,7 @@ class IngestSummary:
     zero_gaps_dropped: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "events_read": self.events_read,
-            "events_dropped": self.events_dropped,
-            "actors": self.actors,
-            "durations_emitted": self.durations_emitted,
-            "zero_gaps_dropped": self.zero_gaps_dropped,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -74,14 +70,15 @@ class EventBatch:
     ``codes[i]`` indexes ``actors``, the chunk's actor names in first-seen
     order. ``directions`` is an object array (a row too short for the
     column has None), or None when the log has no direction column.
-    ``parsed`` is the summary the parser counted the chunk's rows into.
+    ``rows`` counts the chunk's rows and ``dropped`` those not accepted.
     """
 
     timestamps: np.ndarray  # float64
     codes: np.ndarray  # int32
     actors: list[str]
     directions: np.ndarray | None
-    parsed: IngestSummary
+    rows: int
+    dropped: int
 
     def take(self, mask: np.ndarray) -> "EventBatch":
         """The events where ``mask`` is True; ``actors`` is kept whole."""
@@ -93,14 +90,12 @@ class EventBatch:
         )
 
 
-def parse_events(
-    stream: TextIO, summary: IngestSummary | None = None, workers: int = 1
-) -> Iterator[EventBatch]:
+def parse_events(stream: TextIO, workers: int = 1) -> Iterator[EventBatch]:
     """Stream EventBatches from CSV with header ``actor,timestamp[,direction]``.
 
     A row is dropped when it is too short, its timestamp does not parse
     with ``float`` or is not finite or is negative, or its actor is empty.
-    Dropped rows are counted into ``summary``; parsing only fails
+    Dropped rows are counted in their batch; ingestion only fails
     afterwards (see ``check_malformed_fraction``) if more than half the
     lines were bad. Every chunk yields a batch, even one with no accepted
     events, so that its counts reach ``interevent_durations``.
@@ -109,8 +104,6 @@ def parse_events(
     field may hold a newline) is parsed in byte ranges by forked workers;
     the events, in file order, and the counts are the same.
     """
-    if summary is None:
-        summary = IngestSummary()
     ranges = _line_ranges(stream, workers, forbid=b'"')
     reader = csv.reader(stream)
     header = next(reader, None)
@@ -123,27 +116,20 @@ def parse_events(
     i_ts = columns.index("timestamp")
     i_dir = columns.index("direction") if "direction" in columns else None
     if ranges is None:
-        batches = _parse_rows(reader, i_actor, i_ts, i_dir)
-    else:
-        text_of = _range_reader(stream)
+        yield from _parse_rows(reader, i_actor, i_ts, i_dir)
+        return
 
-        def parse_range(lo: int, hi: int) -> list[EventBatch]:
-            with text_of(lo, hi) as text:
-                reader = csv.reader(text)
-                if lo == 0:
-                    next(reader)  # the header, read above
-                return list(_parse_rows(reader, i_actor, i_ts, i_dir))
+    def parse_range(lo: int, hi: int) -> list[EventBatch]:
+        reader = csv.reader(_range_text(stream, lo, hi))
+        if lo == 0:
+            next(reader)  # the header, read above
+        return list(_parse_rows(reader, i_actor, i_ts, i_dir))
 
-        batches = chain.from_iterable(run_ranges(parse_range, ranges, workers))
-    for batch in batches:
-        summary.events_read += batch.parsed.events_read
-        summary.events_dropped += batch.parsed.events_dropped
-        yield replace(batch, parsed=summary)
+    yield from chain.from_iterable(run_ranges(parse_range, ranges, workers))
 
 
 def _parse_rows(reader, i_actor, i_ts, i_dir) -> Iterator[EventBatch]:
-    """A batch per ``CHUNK_ROWS`` rows of ``reader``; each batch's
-    ``parsed`` counts the rows of its own chunk."""
+    """A batch per ``CHUNK_ROWS`` rows of ``reader``."""
     while True:
         # The chunk's row lists set off cyclic collections that find no
         # garbage; the collector is back on before the batch is yielded.
@@ -197,8 +183,7 @@ def _parse_chunk(rows, i_actor, i_ts, i_dir) -> EventBatch:
         directions = np.array(
             [row[i_dir] if len(row) > i_dir else None for row in rows], dtype=object
         )
-    parsed = IngestSummary(events_read=n_rows, events_dropped=n_rows - stamps.size)
-    return EventBatch(stamps, codes, list(first_row), directions, parsed)
+    return EventBatch(stamps, codes, list(first_row), directions, n_rows, n_rows - stamps.size)
 
 
 def check_malformed_fraction(summary: IngestSummary) -> None:
@@ -210,14 +195,13 @@ def check_malformed_fraction(summary: IngestSummary) -> None:
 
 def _columns(batches, direction, summary):
     """Every kept event as global actor codes (first-seen order) and
-    timestamps, and the actor names. Adds the parse counts of each batch's
-    summary, other than ``summary`` itself, into ``summary``."""
+    timestamps, and the actor names. Adds each batch's row counts into
+    ``summary``."""
     stamps, codes = array("d"), array("i")
     names: dict[str, int] = {}
-    parsers: list[IngestSummary] = []
     for batch in batches:
-        if batch.parsed is not summary and all(p is not batch.parsed for p in parsers):
-            parsers.append(batch.parsed)
+        summary.events_read += batch.rows
+        summary.events_dropped += batch.dropped
         if direction is not None:
             if batch.directions is None:
                 continue
@@ -228,9 +212,6 @@ def _columns(batches, direction, summary):
             to_global[code] = names.setdefault(batch.actors[code], len(names))
         codes.frombytes(memoryview(to_global[batch.codes]).cast("B"))
         stamps.frombytes(memoryview(batch.timestamps).cast("B"))
-    for parsed in parsers:
-        summary.events_read += parsed.events_read
-        summary.events_dropped += parsed.events_dropped
     return (
         np.frombuffer(codes, dtype=np.int32),
         np.frombuffer(stamps, dtype=np.float64),
@@ -250,8 +231,8 @@ def interevent_durations(
     emitted; zero gaps (duplicate timestamps) are dropped and counted.
     Actors with fewer than two events contribute nothing. With
     ``per_actor=True`` a dict actor -> DurationSample is returned instead,
-    actors in first-seen order. The parse counts of the batches reach the
-    returned summary whether or not it is the one given to the parser.
+    actors in first-seen order. The returned summary (``summary`` if given)
+    also holds the row counts of the batches.
     """
     if summary is None:
         summary = IngestSummary()
@@ -330,12 +311,9 @@ def read_durations_text(stream: TextIO, workers: int = 1) -> DurationSample:
     if ranges is None:
         bad = _read_lines(stream, values)
     else:
-        text_of = _range_reader(stream)
-
         def read_range(lo: int, hi: int) -> tuple[array, int]:
             part = array("d")
-            with text_of(lo, hi) as text:
-                return part, _read_lines(text, part)
+            return part, _read_lines(_range_text(stream, lo, hi), part)
 
         bad = 0
         for part, part_bad in run_ranges(read_range, ranges, workers):
@@ -405,7 +383,7 @@ def _line_ranges(stream, workers: int, forbid: bytes = b"") -> list[tuple[int, i
     and a file that holds ``forbid``.
     """
     workers = usable_workers(workers)
-    if workers == 1 or not hasattr(os, "pread"):
+    if workers == 1:
         return None
     try:
         fd = stream.fileno()
@@ -461,33 +439,12 @@ def _after_newline(fd: int, pos: int, size: int) -> int:
     return size
 
 
-def _range_reader(stream) -> Callable[[int, int], TextIO]:
-    """A function from (lo, hi) to bytes lo..hi of ``stream``'s file, read
-    with ``os.pread`` (which leaves the file offset alone) and decoded with
-    the stream's encoding and universal newlines, as ``open`` does."""
-    fd, encoding, errors = stream.fileno(), stream.encoding, stream.errors
-
-    def text(lo: int, hi: int) -> TextIO:
-        raw = _FileRange(fd, lo, hi)
-        return io.TextIOWrapper(io.BufferedReader(raw), encoding=encoding, errors=errors)
-
-    return text
-
-
-class _FileRange(io.RawIOBase):
-    """Bytes lo..hi of an open file, read with ``os.pread``."""
-
-    def __init__(self, fd: int, lo: int, hi: int):
-        self.fd, self.pos, self.end = fd, lo, hi
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        data = os.pread(self.fd, min(len(buffer), self.end - self.pos), self.pos)
-        buffer[: len(data)] = data
-        self.pos += len(data)
-        return len(data)
+def _range_text(stream, lo: int, hi: int) -> TextIO:
+    """Bytes lo..hi of ``stream``'s file, read with ``os.pread`` (which
+    leaves the file offset alone) and decoded with the stream's encoding
+    and universal newlines, as ``open`` does."""
+    data = b"".join(_blocks(stream.fileno(), lo, hi))
+    return io.TextIOWrapper(io.BytesIO(data), encoding=stream.encoding, errors=stream.errors)
 
 
 def read_durations_binary(stream) -> DurationSample:

@@ -79,6 +79,14 @@ class TestIngest:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_oversized_field_is_invalid_input(self, tmp_path, capsys):
+        # csv.reader raises csv.Error on a field over csv.field_size_limit().
+        events = tmp_path / "events.csv"
+        events.write_text("actor,timestamp\n" + "a" * 140000 + ",1\n")
+        code, _, err = run(["ingest", "--events", str(events)], capsys)
+        assert code == 1
+        assert err.startswith("error: invalid-input: field larger than field limit")
+
     def test_binary_output_roundtrips(self, tmp_path, capsys):
         events = tmp_path / "events.csv"
         events.write_text(EVENTS)

@@ -178,9 +178,10 @@ class TestParseEvents:
 
     def test_malformed_lines_counted_and_skipped(self):
         text = "actor,timestamp\nx,1\nx,notanumber\n,5\nx,-3\nx,2\n"
-        summary = IngestSummary()
-        batches = list(parse_events(io.StringIO(text), summary))
+        batches = list(parse_events(io.StringIO(text)))
         assert sum(b.codes.size for b in batches) == 2
+        assert (sum(b.rows for b in batches), sum(b.dropped for b in batches)) == (5, 3)
+        _, summary = interevent_durations(batches)
         assert summary.events_read == 5
         assert summary.events_dropped == 3
         # 3 of 5 lines malformed exceeds the half threshold.
@@ -189,8 +190,7 @@ class TestParseEvents:
 
     def test_minor_malformed_fraction_tolerated(self):
         text = "actor,timestamp\nx,1\nx,bad\nx,2\nx,3\nx,4\n"
-        summary = IngestSummary()
-        list(parse_events(io.StringIO(text), summary))
+        _, summary = interevent_durations(parse_events(io.StringIO(text)))
         check_malformed_fraction(summary)
 
     def test_rejects_missing_header(self):
@@ -215,10 +215,11 @@ class TestIntereventDurations:
     def test_parse_counts_reach_the_returned_summary(self):
         _, summary = interevent_durations(parse_events(io.StringIO(CSV)))
         assert summary.events_read == 7
-        # One summary shared by both stages counts each row once.
-        shared = IngestSummary()
-        interevent_durations(parse_events(io.StringIO(CSV), shared), summary=shared)
-        assert (shared.events_read, shared.events_dropped) == (7, 0)
+        # A summary given to interevent_durations counts each row once.
+        given = IngestSummary()
+        _, returned = interevent_durations(parse_events(io.StringIO(CSV)), summary=given)
+        assert returned is given
+        assert (given.events_read, given.events_dropped) == (7, 0)
 
     def test_direction_filter(self):
         events = list(parse_events(io.StringIO(CSV)))
@@ -348,12 +349,11 @@ class TestColumnarMatchesPerRow:
                     ref_summary,
                     per_actor,
                 )
-                # The summary shared with the parser, as the CLI does, and
-                # each stage's default summary.
-                shared = IngestSummary()
-                got_shared = outcome(
+                # A summary given to interevent_durations, and its default.
+                given = IngestSummary()
+                got_given = outcome(
                     lambda: interevent_durations(
-                        parse_events(io.StringIO(text), shared), direction, shared, per_actor
+                        parse_events(io.StringIO(text)), direction, given, per_actor
                     )
                 )
                 got_default = outcome(
@@ -361,9 +361,9 @@ class TestColumnarMatchesPerRow:
                         parse_events(io.StringIO(text)), direction, per_actor=per_actor
                     )
                 )
-                assert comparable(got_shared) == comparable(expected)
+                assert comparable(got_given) == comparable(expected)
                 assert comparable(got_default) == comparable(expected)
-                assert shared.to_dict() == ref_summary.to_dict()
+                assert given.to_dict() == ref_summary.to_dict()
 
             want = reference_split_by_resolution(
                 reference_parse_events(io.StringIO(text), IngestSummary()), integral
@@ -486,14 +486,14 @@ class TestWorkerRanges:
                     events = events_of(parse_events(fh, workers=workers))
                 got = []
                 for per_actor in (False, True):
-                    shared = IngestSummary()
+                    given = IngestSummary()
                     with open(path, encoding="utf-8") as fh:
                         got.append(comparable(outcome(
                             lambda: interevent_durations(
-                                parse_events(fh, shared, workers), direction, shared, per_actor
+                                parse_events(fh, workers), direction, given, per_actor
                             )
                         )))
-                    got.append(shared.to_dict())
+                    got.append(given.to_dict())
                 results.append((events, got))
             return results
 
@@ -588,6 +588,27 @@ class TestWorkerRanges:
                     assert read_durations_text(fh, workers).n == 100
                 with open(many) as fh, pytest.raises(ValueError, match="30 malformed"):
                     read_durations_text(fh, workers)
+
+    def test_stream_past_its_start_is_read_from_there(self, tmp_path):
+        # Lines already read from the stream are not parsed again, in
+        # workers or not: the result is the serial one on the rest.
+        events, durations = tmp_path / "events.csv", tmp_path / "durations.txt"
+        rest = "actor,timestamp\n" + "".join(f"a{k % 7},{k * k % 97}\n" for k in range(300))
+        events.write_text("# exported log\n" + rest)
+        durations.write_text("7.25\n" * 40 + "".join(f"{k + 0.5}\n" for k in range(60)))
+        want_events = comparable(interevent_durations(parse_events(io.StringIO(rest))))
+        with self.small_pool(16):
+            for workers in WORKERS:
+                with open(events) as fh:
+                    fh.readline()
+                    got = interevent_durations(parse_events(fh, workers))
+                assert comparable(got) == want_events
+                with open(durations) as fh:
+                    for _ in range(40):
+                        fh.readline()
+                    assert read_durations_text(fh, workers).values.tolist() == [
+                        k + 0.5 for k in range(60)
+                    ]
 
     def test_small_file_takes_one_range(self, tmp_path):
         path = tmp_path / "durations.txt"
