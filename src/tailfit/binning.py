@@ -94,11 +94,24 @@ def bin_log(s: DurationSample, bins_per_decade: int) -> Histogram:
     k_hi = math.ceil(bins_per_decade * math.log10(s.x_max) - 1e-9)
     if k_hi <= k_lo:
         k_hi = k_lo + 1
-    edges = 10.0 ** (np.arange(k_lo, k_hi + 1) / bins_per_decade)
+    with np.errstate(over="ignore"):
+        edges = 10.0 ** (np.arange(k_lo, k_hi + 1) / bins_per_decade)
     # Guard against the sample extremes falling just outside due to rounding.
     edges[0] = min(edges[0], s.x_min)
     edges[-1] = max(edges[-1], s.x_max)
-    counts, _ = np.histogram(s.values, bins=edges)
+    widths = np.diff(edges)
+    finite = bool(np.isfinite(edges[-1]) and np.all(widths > 0))
+    if finite:
+        counts, _ = np.histogram(s.values, bins=edges)
+        # Histogram.density divides the counts by n times the widths.
+        with np.errstate(over="ignore"):
+            scaled = s.n * widths
+            finite = bool(np.isfinite(scaled).all() and np.isfinite(counts / scaled).all())
+    if not finite:
+        raise ValueError(
+            f"values in [{s.x_min!r}, {s.x_max!r}] reach the float64 limits: their "
+            "log bins would have an infinite edge or density, or no width"
+        )
     return Histogram(edges, counts, "log", s.unit)
 
 

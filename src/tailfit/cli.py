@@ -59,8 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         default=None,
         help="worker processes, capped by the usable CPUs, for fit's bootstrap replicates "
-        "and for parsing large event CSVs and reading and writing large duration text "
-        "files (default: $TAILFIT_THREADS, else 1); outputs are byte-identical for any N",
+        "and for reading and writing large duration text files; event CSVs are parsed "
+        "in the calling process (default: $TAILFIT_THREADS, else 1); outputs are "
+        "byte-identical for any N",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -186,7 +187,7 @@ def _write_json(obj, path: str) -> None:
 
 def cmd_ingest(args) -> int:
     with open(args.events) as fh:
-        events = ingestion.parse_events(fh, args.threads)
+        events = ingestion.parse_events(fh)
         sample, summary = ingestion.interevent_durations(events, direction=args.direction)
     ingestion.check_malformed_fraction(summary)
     _write_sample(sample, args.output, args.format, args.threads)

@@ -1,21 +1,29 @@
 """Turn raw timestamped event logs into per-actor inter-event duration
 samples.
 
-The event CSV is read in chunks of ``CHUNK_ROWS`` rows, and each chunk
-becomes an ``EventBatch`` of columns: the accepted timestamps, actor codes
-into the chunk's own actor names, and the direction column if there is
-one. Each batch also carries its chunk's counts of rows read and dropped;
-``interevent_durations`` adds them up and is the one stage that fills an
-``IngestSummary``. It keeps every accepted timestamp once, as two
-columns of 12 bytes per event (a float64 timestamp and an int32 actor
-code, actors numbered in first-seen order), plus one chunk of rows, so
+An event CSV that is a regular file is read in blocks of about
+``BLOCK_BYTES`` that end just after a newline byte, and a block of plain
+rows becomes one ``EventBatch``, parsed by numpy alone: the newline and
+comma offsets give the fields, actors and directions are numbered as
+fixed-width byte keys, and ``digits[.digits]`` timestamps are read by
+Clinger's fast path. Any other block, the rest of a file from its first
+``"`` on, and any other stream are read by ``csv.reader`` in chunks of
+``CHUNK_ROWS`` rows, a batch per chunk. A batch holds columns: the
+accepted timestamps, actor codes into the batch's own actor names, and
+the direction column if there is one, with its counts of rows read and
+dropped; ``interevent_durations`` adds them up and is the one stage that
+fills an ``IngestSummary``. It keeps every accepted timestamp once, as
+two columns of 12 bytes per event (a float64 timestamp and an int32
+actor code, actors numbered in first-seen order), plus one batch, so
 memory still grows with the number of events. It then takes every
-actor's gaps at once: one stable lexsort by (actor, timestamp), one diff,
-a mask at the actor boundaries, and one sort of the positive gaps.
+actor's gaps at once: one stable sort by actor (a radix sort of 16-bit
+codes when the actors allow), one diff, a mask at the actor boundaries,
+and one sort of the positive gaps; only when some actor's stamps are
+out of file order are they sorted within each actor.
 
 Duration text is written and read in blocks of ``CHUNK_ROWS`` values.
 
-With more than one worker, large inputs are parsed, formatted and read
+With more than one worker, large duration texts are formatted and read
 in contiguous ranges by forked processes (``pool.run_ranges``): a regular
 file in byte ranges that end after a newline, the values to format in
 ranges of whole blocks. Every result is put together in input order, so
@@ -44,11 +52,13 @@ from .sample import DurationSample
 
 BINARY_MAGIC = b"TFD1"
 CHUNK_ROWS = 8192
-# Inputs smaller than this many bytes (of file, or of float64 values to
-# format) are handled in-process. Starting two forked workers took 7-20 ms
-# on a 2-core host, what one core spends parsing 0.4-1 MB of event CSV, so
-# a pool pays for itself only from a few MB on.
+# Duration texts smaller than this many bytes (of file, or of float64
+# values to format) are handled in-process. Starting two forked workers
+# took 7-20 ms on a 2-core host, so a pool pays for itself only from a few
+# MB on.
 POOL_MIN_BYTES = 4 << 20
+# An event CSV file is parsed in blocks of about this many bytes.
+BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -65,12 +75,12 @@ class IngestSummary:
 
 @dataclass(frozen=True)
 class EventBatch:
-    """The accepted events of one chunk of CSV rows, as columns.
+    """The accepted events of a block or chunk of CSV rows, as columns.
 
-    ``codes[i]`` indexes ``actors``, the chunk's actor names in first-seen
+    ``codes[i]`` indexes ``actors``, the batch's actor names in first-seen
     order. ``directions`` is an object array (a row too short for the
     column has None), or None when the log has no direction column.
-    ``rows`` counts the chunk's rows and ``dropped`` those not accepted.
+    ``rows`` counts the batch's rows and ``dropped`` those not accepted.
     """
 
     timestamps: np.ndarray  # float64
@@ -90,46 +100,65 @@ class EventBatch:
         )
 
 
-def parse_events(stream: TextIO, workers: int = 1) -> Iterator[EventBatch]:
+def parse_events(stream: TextIO) -> Iterator[EventBatch]:
     """Stream EventBatches from CSV with header ``actor,timestamp[,direction]``.
 
     A row is dropped when it is too short, its timestamp does not parse
     with ``float`` or is not finite or is negative, or its actor is empty.
     Dropped rows are counted in their batch; ingestion only fails
     afterwards (see ``check_malformed_fraction``) if more than half the
-    lines were bad. Every chunk yields a batch, even one with no accepted
+    lines were bad. Every batch is yielded, even one with no accepted
     events, so that its counts reach ``interevent_durations``.
 
-    With ``workers`` > 1, a large regular file without a ``"`` (a quoted
-    field may hold a newline) is parsed in byte ranges by forked workers;
-    the events, in file order, and the counts are the same.
+    A regular file read from its start, in an encoding in which every
+    byte below 0x80 is that ASCII character, is read in blocks of about
+    ``BLOCK_BYTES`` that end just after a newline byte, and each block of
+    plain rows becomes one batch, parsed by numpy alone (``_block_batch``).
+    A block it declines is decoded as ``open`` decodes it and parsed by
+    ``csv.reader`` like any other stream; so is the rest of the file from
+    the block of its first ``"`` on, since a quoted field may hold a
+    newline. The events, in file order, and the counts are the same
+    either way.
     """
-    ranges = _line_ranges(stream, workers, forbid=b'"')
-    reader = csv.reader(stream)
-    header = next(reader, None)
+    file = _regular_file(stream)
+    blocks = _line_blocks(*file) if file is not None else iter(())
+    first = next(blocks, b"")
+    cut = first.find(b"\n") + 1 or len(first)
+    header = first[:cut]
+    if not _plain(header) or header.count(b"\r") != header.count(b"\r\n"):
+        # Not a file, or a header the block parser does not read: the
+        # stream is still where it was given.
+        reader = csv.reader(stream)
+        yield from _parse_rows(reader, _layout(next(reader, None)))
+        return
+    layout = _layout(next(csv.reader([header.decode("ascii")]), None))
+    for block in chain([first[cut:]], blocks):
+        if b'"' in block:
+            lines = chain.from_iterable(map(partial(_decoded, stream), chain([block], blocks)))
+            yield from _parse_rows(csv.reader(lines), layout)
+            return
+        batch = _block_batch(block, *layout)
+        if batch is not None:
+            yield batch
+        else:
+            yield from _parse_rows(csv.reader(_decoded(stream, block)), layout)
+
+
+def _layout(header) -> tuple[int, int, int, int | None]:
+    """The header's field count and the indices of the actor, timestamp
+    and direction (None if absent) columns."""
     if header is None:
         raise ValueError("empty input")
     columns = [c.strip().lower() for c in header]
     if "actor" not in columns or "timestamp" not in columns:
         raise ValueError("expected CSV header actor,timestamp[,direction]")
-    i_actor = columns.index("actor")
-    i_ts = columns.index("timestamp")
     i_dir = columns.index("direction") if "direction" in columns else None
-    if ranges is None:
-        yield from _parse_rows(reader, i_actor, i_ts, i_dir)
-        return
-
-    def parse_range(lo: int, hi: int) -> list[EventBatch]:
-        reader = csv.reader(_range_text(stream, lo, hi))
-        if lo == 0:
-            next(reader)  # the header, read above
-        return list(_parse_rows(reader, i_actor, i_ts, i_dir))
-
-    yield from chain.from_iterable(run_ranges(parse_range, ranges, workers))
+    return len(columns), columns.index("actor"), columns.index("timestamp"), i_dir
 
 
-def _parse_rows(reader, i_actor, i_ts, i_dir) -> Iterator[EventBatch]:
+def _parse_rows(reader, layout) -> Iterator[EventBatch]:
     """A batch per ``CHUNK_ROWS`` rows of ``reader``."""
+    _, i_actor, i_ts, i_dir = layout
     while True:
         # The chunk's row lists set off cyclic collections that find no
         # garbage; the collector is back on before the batch is yielded.
@@ -186,6 +215,141 @@ def _parse_chunk(rows, i_actor, i_ts, i_dir) -> EventBatch:
     return EventBatch(stamps, codes, list(first_row), directions, n_rows, n_rows - stamps.size)
 
 
+def _plain(data: bytes) -> bool:
+    """Whether ``data`` is non-empty ASCII without a NUL or a ``"``."""
+    return bool(data) and data.isascii() and b"\0" not in data and b'"' not in data
+
+
+# A stamp the block parser reads has at most 19 digits, so that they fit
+# in a uint64, and so at most 19 fraction digits: 10**k is exact in
+# float64 for every k <= 22.
+_MAX_STAMP = 20
+_POW10 = np.array([float(10**k) for k in range(_MAX_STAMP)])
+
+
+def _block_batch(block: bytes, n_fields, i_actor, i_ts, i_dir) -> EventBatch | None:
+    """The rows of ``block`` (whole lines) as one batch, parsed by numpy
+    alone; or None, declining the block, unless it is ASCII without a NUL,
+    a ``"`` or a CR outside a CRLF, and every row has the header's field
+    count, no field longer than ``csv.field_size_limit()``, and a
+    ``digits[.digits]`` timestamp whose digit string M is at most 2**53.
+
+    Such a stamp is float64(M) / 10.0**k with k fraction digits (k <= 19):
+    a correctly rounded division of two exact doubles, which is the
+    correctly rounded value ``float`` gives (Clinger 1990, "How to read
+    floating point numbers accurately"). Actors and directions are
+    numbered in first-seen order as fixed-width byte keys.
+    """
+    if not _plain(block):
+        return None
+    if not block.endswith(b"\n"):
+        block += b"\n"  # the file's last line
+    raw = np.frombuffer(block, np.uint8)
+    newlines = np.flatnonzero(raw == 10)
+    commas = np.flatnonzero(raw == 44)
+    n = newlines.size
+    if commas.size != n * (n_fields - 1):
+        return None
+    # Field j of row r lies between bounds[j, r] and bounds[j + 1, r]:
+    # after the previous newline, between the row's commas, and before
+    # its line end.
+    bounds = np.empty((n_fields + 1, n), np.int64)
+    bounds[0, 0] = -1
+    bounds[0, 1:] = newlines[:-1]
+    bounds[1:n_fields] = commas.reshape(n, n_fields - 1).T
+    bounds[n_fields] = newlines
+    # Equal counts, and each row's first and last comma inside it, put
+    # n_fields - 1 commas in every row.
+    if np.any(bounds[1] <= bounds[0]) or np.any(bounds[n_fields - 1] >= newlines):
+        return None
+    if b"\r" in block:
+        crlf = raw[newlines - 1] == 13
+        if np.count_nonzero(raw == 13) != np.count_nonzero(crlf):
+            return None  # a CR that ends a line of its own
+        bounds[n_fields] -= crlf
+    widths = np.diff(bounds, axis=0) - 1
+    starts = bounds[:-1] + 1
+    del bounds, newlines, commas
+    if widths.max() > csv.field_size_limit():
+        return None
+
+    w = widths[i_ts]
+    width = int(w.max())
+    if w.min() == 0 or width > _MAX_STAMP:
+        return None
+    chars = _field_chars(raw, starts[i_ts], w, width)
+    digits = chars - np.uint8(ord("0"))
+    is_digit = digits < 10
+    is_dot = chars == ord(".")
+    dots = is_dot.sum(0, dtype=np.uint8)
+    n_digits = is_digit.sum(0, dtype=np.uint8)
+    # A stamp is 1 to 19 digits and at most one dot.
+    if np.any(n_digits + dots != w) or dots.max() > 1:
+        return None
+    if not 0 < n_digits.min() <= n_digits.max() <= 19:
+        return None
+    # Horner's rule over the character positions, passing over the dot
+    # and the zero padding; below 10**19 nothing wraps.
+    digits *= is_digit
+    scale = is_digit * np.uint8(9) + np.uint8(1)
+    mantissa = np.zeros(n, np.uint64)
+    for position in range(width):
+        mantissa *= scale[position]
+        mantissa += digits[position]
+    dot_at = (is_dot * np.arange(width, dtype=np.uint8)[:, None]).sum(0, dtype=np.uint8)
+    fraction = dots * (w - 1 - dot_at)
+    del chars, digits, is_digit, is_dot, scale
+    if mantissa.max() > np.uint64(2**53):  # compared as uint64, not float64
+        return None
+    stamps = mantissa.astype(np.float64) / _POW10[fraction]
+
+    keys = [_field_keys(raw, starts[i], widths[i]) for i in (i_actor, i_dir) if i is not None]
+    if any(k is None for k in keys):
+        return None
+    keep = widths[i_actor] > 0
+    if not keep.all():
+        stamps = stamps[keep]
+        keys = [k[keep] for k in keys]
+    codes, first = _first_seen(keys[0])
+    names = [name.decode("ascii") for name in keys[0][first].tolist()]
+    directions = None
+    if i_dir is not None:
+        dir_codes, dir_first = _first_seen(keys[1])
+        values = [value.decode("ascii") for value in keys[1][dir_first].tolist()]
+        directions = np.array(values, dtype=object)[dir_codes]
+    return EventBatch(stamps, codes, names, directions, n, n - stamps.size)
+
+
+def _field_chars(raw, starts, widths, width) -> np.ndarray:
+    """A (width, rows) uint8 array whose column r holds the field
+    raw[starts[r] : starts[r] + widths[r]], zero past its end."""
+    chars = np.empty((width, starts.size), np.uint8)
+    for position in range(width):
+        np.take(raw, starts + position, out=chars[position], mode="clip")
+    chars *= np.arange(width)[:, None] < widths
+    return chars
+
+
+def _field_keys(raw, starts, widths) -> np.ndarray | None:
+    """The fields as fixed-width byte strings (NUL-padded) as wide as the
+    widest, or None if those would take more than four times ``raw``'s
+    bytes."""
+    width = max(int(widths.max()), 1)
+    if starts.size * width > 4 * raw.size:
+        return None
+    return _field_chars(raw, starts, widths, width).T.copy().view(f"S{width}").ravel()
+
+
+def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """int32 codes numbering ``keys`` in first-seen order, and the index
+    of each code's first key."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(order.size, np.int32)
+    rank[order] = np.arange(order.size, dtype=np.int32)
+    return rank[inverse], first[order]
+
+
 def check_malformed_fraction(summary: IngestSummary) -> None:
     if summary.events_read and summary.events_dropped > summary.events_read / 2:
         raise ValueError(
@@ -240,17 +404,31 @@ def interevent_durations(
     n = codes.size
     summary.actors = len(names)
     sizes = np.bincount(codes, minlength=len(names))
-    order = np.lexsort((stamps, codes))
+    # A stable sort by actor keeps each actor's events in file order; with
+    # at most 65536 actors the codes fit in 16 bits, which numpy sorts by
+    # radix.
+    if len(names) <= 1 << 16:
+        codes = codes.astype(np.uint16)
+    order = np.argsort(codes, kind="stable")
     del codes
     stamps = stamps[order]
     del order
-    gaps = np.diff(stamps)
-    del stamps
-    # Actor k's events sit at [ends[k] - sizes[k], ends[k]) in time order.
-    # Zeroing the step from each actor's last event to the next actor's
-    # first masks it out; the n - actors gaps within actors are counted.
+    # Actor k's events sit at [ends[k] - sizes[k], ends[k]). Zeroing the
+    # step from each actor's last event to the next actor's first masks
+    # it out; the n - actors gaps within actors are counted.
     ends = np.cumsum(sizes)
+    gaps = np.diff(stamps)
     gaps[ends[:-1] - 1] = 0.0
+    if np.any(gaps < 0):
+        # Some actor's stamps are out of file order: sort them within
+        # each actor, as one lexsort by (actor, timestamp) would.
+        del gaps
+        actor = np.repeat(np.arange(len(names), dtype=np.int32), sizes)
+        stamps = stamps[np.lexsort((stamps, actor))]
+        del actor
+        gaps = np.diff(stamps)
+        gaps[ends[:-1] - 1] = 0.0
+    del stamps
     positive = gaps > 0
     emitted = int(np.count_nonzero(positive))
     summary.zero_gaps_dropped += n - len(names) - emitted
@@ -313,7 +491,8 @@ def read_durations_text(stream: TextIO, workers: int = 1) -> DurationSample:
     else:
         def read_range(lo: int, hi: int) -> tuple[array, int]:
             part = array("d")
-            return part, _read_lines(_range_text(stream, lo, hi), part)
+            text = _decoded(stream, b"".join(_blocks(stream.fileno(), lo, hi)))
+            return part, _read_lines(text, part)
 
         bad = 0
         for part, part_bad in run_ranges(read_range, ranges, workers):
@@ -373,34 +552,37 @@ def _format_values(values: np.ndarray, lo: int, hi: int) -> str:
     )
 
 
-def _line_ranges(stream, workers: int, forbid: bytes = b"") -> list[tuple[int, int]] | None:
-    """About ``workers`` x ``RANGES_PER_WORKER`` byte ranges that cover the
-    regular file under ``stream``, each but the last ending just after a
-    newline byte; or None when the text is to be read from ``stream`` in
-    this process. That is so for one usable worker, a stream that is not
-    a regular file at its start, a file under ``POOL_MIN_BYTES``, an
-    encoding in which a newline byte may be part of another character,
-    and a file that holds ``forbid``.
-    """
-    workers = usable_workers(workers)
-    if workers == 1:
-        return None
+def _regular_file(stream) -> tuple[int, int] | None:
+    """The file descriptor and size of the regular file under ``stream``,
+    if it is read from its start in an encoding in which a file can be cut
+    after any newline byte; else None."""
     try:
         fd = stream.fileno()
         info = os.fstat(fd)
         at_start = stream.tell() == 0
     except (OSError, ValueError):  # no file descriptor, or no position
         return None
-    size = info.st_size
     if (
         not at_start
         or not stat.S_ISREG(info.st_mode)
-        or size < POOL_MIN_BYTES
         or not _ascii_compatible(getattr(stream, "encoding", None))
     ):
         return None
-    if forbid and any(forbid in block for block in _blocks(fd, 0, size)):
+    return fd, info.st_size
+
+
+def _line_ranges(stream, workers: int) -> list[tuple[int, int]] | None:
+    """About ``workers`` x ``RANGES_PER_WORKER`` byte ranges that cover the
+    regular file under ``stream``, each but the last ending just after a
+    newline byte; or None when the text is to be read from ``stream`` in
+    this process. That is so for one usable worker, a stream that
+    ``_regular_file`` does not take, and a file under ``POOL_MIN_BYTES``.
+    """
+    workers = usable_workers(workers)
+    file = _regular_file(stream) if workers > 1 else None
+    if file is None or file[1] < POOL_MIN_BYTES:
         return None
+    fd, size = file
     parts = workers * RANGES_PER_WORKER
     bounds = [0]
     for i in range(1, parts):
@@ -428,6 +610,20 @@ def _blocks(fd: int, lo: int, hi: int, size: int = 1 << 20) -> Iterator[bytes]:
         lo += len(block)
 
 
+def _line_blocks(fd: int, size: int) -> Iterator[bytes]:
+    """The file's bytes in blocks of about ``BLOCK_BYTES``, each but the
+    last ending just after a newline byte."""
+    carry = b""
+    for block in _blocks(fd, 0, size, BLOCK_BYTES):
+        block = carry + block
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            yield block[:cut]
+        carry = block[cut:]
+    if carry:
+        yield carry
+
+
 def _after_newline(fd: int, pos: int, size: int) -> int:
     """The offset just after the first newline byte at or after ``pos``,
     or ``size`` if there is none."""
@@ -439,11 +635,9 @@ def _after_newline(fd: int, pos: int, size: int) -> int:
     return size
 
 
-def _range_text(stream, lo: int, hi: int) -> TextIO:
-    """Bytes lo..hi of ``stream``'s file, read with ``os.pread`` (which
-    leaves the file offset alone) and decoded with the stream's encoding
-    and universal newlines, as ``open`` does."""
-    data = b"".join(_blocks(stream.fileno(), lo, hi))
+def _decoded(stream, data: bytes) -> TextIO:
+    """``data``, read from ``stream``'s file, decoded with the stream's
+    encoding and errors and universal newlines, as ``open`` does."""
     return io.TextIOWrapper(io.BytesIO(data), encoding=stream.encoding, errors=stream.errors)
 
 

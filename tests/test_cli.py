@@ -2,6 +2,7 @@
 schema and seeded reproducibility.
 """
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -45,7 +46,8 @@ class TestIngest:
         assert summary["durations_emitted"] == 4
 
     def test_threads_do_not_change_output(self, tmp_path, capsys, monkeypatch):
-        # Every input runs in worker ranges: the pool threshold is one byte.
+        # Every duration text runs in worker ranges: the pool threshold is
+        # one byte. The event CSV is parsed in the calling process.
         monkeypatch.setattr(pool, "_usable_cpus", lambda: 3)
         monkeypatch.setattr(ingestion, "POOL_MIN_BYTES", 1)
         monkeypatch.setattr(ingestion, "CHUNK_ROWS", 64)
@@ -143,6 +145,30 @@ class TestBin:
         assert lines[0] == "bin_left,bin_right,count,density"
         counts = [int(line.split(",")[2]) for line in lines[1:]]
         assert sum(counts) == 5
+
+    def run_log_bins(self, tmp_path, capsys, values):
+        sample = tmp_path / "s.txt"
+        sample.write_text("".join(f"{v!r}\n" for v in values))
+        # A numpy warning on the way fails the test.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run(["bin", "--input", str(sample), "--log-bins", "5"], capsys)
+
+    def test_log_bins_of_subnormal_values_is_invalid_input(self, tmp_path, capsys):
+        # The bins are so narrow that counts / (n * width) overflows.
+        code, out, err = self.run_log_bins(tmp_path, capsys, [1e-310, 2e-310, 5e-310, 2e-309])
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: invalid-input: values in [1e-310, 2e-309] reach the float64 limits: "
+            "their log bins would have an infinite edge or density, or no width\n"
+        )
+
+    def test_log_bins_up_to_float_max_is_invalid_input(self, tmp_path, capsys):
+        # The last edge, 10**(1541 / 5), is past the largest float64.
+        values = np.geomspace(1e300, 1.7e308, 50).tolist()
+        code, out, err = self.run_log_bins(tmp_path, capsys, values)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: invalid-input: values in [1e+300, 1.7e+308] reach")
 
     def test_width_option(self, tmp_path, capsys):
         sample = tmp_path / "s.txt"

@@ -2,9 +2,13 @@
 import csv
 import io
 import os
+import re
+import struct
 import tempfile
 from array import array
 from contextlib import contextmanager
+from functools import partial
+from itertools import cycle
 from typing import NamedTuple
 from unittest import mock
 
@@ -22,6 +26,7 @@ from tailfit import (
 )
 from tailfit import ingestion, pool
 from tailfit.ingestion import (
+    EventBatch,
     check_malformed_fraction,
     read_durations_binary,
     read_durations_text,
@@ -163,6 +168,11 @@ def events_of(batches):
     ]
 
 
+def exact_events(batches):
+    """events_of with each timestamp as its eight bytes."""
+    return [(a, struct.pack("<d", t), d) for a, t, d in events_of(batches)]
+
+
 class TestParseEvents:
     def test_parses_records(self):
         batches = list(parse_events(io.StringIO(CSV)))
@@ -253,6 +263,34 @@ class TestIntereventDurations:
         with pytest.raises(ValueError):
             interevent_durations(parse_events(io.StringIO("actor,timestamp\na,1\n")))
 
+    @pytest.mark.parametrize(
+        "actors, in_file_order, key_dtype, lexsorts",
+        [
+            (300, True, np.uint16, 0),  # radix sort of 16-bit codes
+            (70000, True, np.int32, 0),  # more actors than 16 bits number
+            (300, False, np.uint16, 1),  # stamps out of file order: lexsort
+        ],
+    )
+    def test_gap_routes_give_lexsort_order(self, actors, in_file_order, key_dtype, lexsorts):
+        rng = np.random.default_rng(actors)
+        n = 3 * actors
+        codes = rng.permutation(np.arange(n) % actors).astype(np.int32)
+        stamps = np.round(rng.exponential(1.0, n), 1)  # ties give zero gaps
+        if in_file_order:
+            stamps = np.cumsum(stamps)
+        names = [f"u{k}" for k in range(actors)]
+        events = [Event(names[c], t, None) for c, t in zip(codes.tolist(), stamps.tolist())]
+        for per_actor in (False, True):
+            want = reference_interevent_durations(events, None, IngestSummary(n), per_actor)
+            batch = EventBatch(stamps, codes, names, None, n, 0)
+            with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort, \
+                    mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+                got = interevent_durations([batch], per_actor=per_actor)
+            keys = [c.args[0] for c in argsort.call_args_list if c.kwargs.get("kind") == "stable"]
+            assert [k.dtype for k in keys] == [key_dtype]
+            assert lexsort.call_count == lexsorts
+            assert comparable(got) == comparable(want)
+
 
 class TestSplitByResolution:
     def test_partition(self):
@@ -274,17 +312,28 @@ class TestSplitByResolution:
 STAMPS = ["nan", "inf", "-3", "1_000", " 12 ", "", "x", "-0", "1e3", "2.5", "0"] + [
     str(k) for k in range(8)
 ]
-ACTORS = ["", "a", "b", "c,d", 'q"r', " e"]
-PLAIN_ACTORS = ["", "a", "b", " e"]  # none is quoted in CSV
+# Stamps at and past the edges of the block parser's digits[.digits] form
+# with a digit string of at most 2**53.
+STAMPS += [
+    ".5", "5.", ".", "007", "9007199254740992", "9007199254740993",
+    "900719925474099.3", "1234567890.123456", "+1", "1.5e-3",
+    # Past 2**53, where float64(M) / 10 is not the correctly rounded value;
+    # 2**64 + 5, whose digits wrap a uint64 to 5.
+    "1014403211915866.5", "18446744073709551621",
+]
+# The stamps of that form, so that whole blocks of them occur.
+DIGIT_STAMPS = [s for s in STAMPS if s.replace(".", "", 1).isdigit()]
+ACTORS = ["", "a", "b", "c,d", 'q"r', " e", "é"]
+PLAIN_ACTORS = ["", "a", "b", " e", "é"]  # none is quoted in CSV
 QUOTED_ACTORS = ACTORS + ["m\nn"]  # a newline in a quoted field
 DIRECTIONS = ["outbound", "inbound", ""]
 
 
 @st.composite
-def event_logs(draw, actors=ACTORS):
+def event_logs(draw, actors=ACTORS, stamps=STAMPS):
     """CSV text with columns in any order, extra columns, malformed stamps,
-    short rows, blank lines, empty and quoted actors, and duplicate and
-    unsorted timestamps, with or without a direction column."""
+    short and long rows, blank lines, empty and quoted actors, and
+    duplicate and unsorted timestamps, with or without a direction column."""
     names = ["actor", "timestamp"]
     if draw(st.booleans()):
         names.append("direction")
@@ -294,15 +343,17 @@ def event_logs(draw, actors=ACTORS):
     rows = [header]
     fields = {
         "actor": st.sampled_from(actors),
-        "timestamp": st.sampled_from(STAMPS),
+        "timestamp": st.sampled_from(stamps),
         "direction": st.sampled_from(DIRECTIONS),
         "extra": st.sampled_from(["", "z"]),
     }
     for _ in range(draw(st.integers(0, 40))):
         row = [draw(fields[n]) for n in names]
-        kind = draw(st.sampled_from(["full", "full", "full", "short", "blank"]))
+        kind = draw(st.sampled_from(["full", "full", "full", "short", "long", "blank"]))
         if kind == "short":
             row = row[: draw(st.integers(1, len(row) - 1))]
+        elif kind == "long":
+            row.append(draw(fields["extra"]))
         elif kind == "blank":
             row = []
         rows.append(row)
@@ -439,30 +490,28 @@ def on_disk(data: bytes, run):
         return run(path)
 
 
-LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+# "mixed" ends the lines with LF, CRLF and CR in turn.
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r", "mixed"])
 
 
 def with_line_ends(text: str, end: str, trailing: bool) -> bytes:
-    text = text.replace("\n", end)
+    ends = cycle(["\n", "\r\n", "\r"] if end == "mixed" else [end])
+    text = re.sub("\n", lambda _: next(ends), text)
     if not trailing:
-        text = text.rstrip(end)
+        text = text.rstrip("\r\n")
     return text.encode()
-
-
-def from_workers(exc: BaseException) -> bool:
-    """Whether a pool worker raised ``exc`` (the executor chains the
-    worker's traceback to it)."""
-    return type(exc.__cause__).__name__ == "_RemoteTraceback"
 
 
 WORKERS = (1, 2, 3)
 
 
 class TestWorkerRanges:
-    """Parsing, formatting and reading in ranges by forked workers give
-    the serial results exactly. The pool threshold is lowered to one byte
-    and the CPU cap lifted, so that three workers really run on any host;
-    CHUNK_ROWS is small, so that a range holds several chunks."""
+    """An event CSV file parsed in blocks, by numpy or by csv.reader, gives
+    what the csv path gives on the same text; formatting and reading
+    duration text in ranges by forked workers give the serial results
+    exactly. The pool threshold is lowered to one byte and the CPU cap
+    lifted, so that three workers really run on any host; CHUNK_ROWS is
+    small, so that a range holds several chunks."""
 
     @contextmanager
     def small_pool(self, chunk):
@@ -470,37 +519,42 @@ class TestWorkerRanges:
             with mock.patch.object(pool, "_usable_cpus", lambda: 3):
                 yield
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
-        st.sampled_from([PLAIN_ACTORS, QUOTED_ACTORS]).flatmap(event_logs),
+        st.tuples(
+            st.sampled_from([PLAIN_ACTORS, QUOTED_ACTORS]),
+            st.sampled_from([STAMPS, DIGIT_STAMPS]),
+        ).flatmap(lambda kinds: event_logs(*kinds)),
         st.sampled_from([None, "outbound"]),
         st.integers(1, 6),
+        st.integers(8, 64),
         LINE_ENDS,
         st.booleans(),
     )
-    def test_parse_matches_serial(self, text, direction, chunk, end, trailing):
-        def run(path):
-            results = []
-            for workers in WORKERS:
-                with open(path, encoding="utf-8") as fh:
-                    events = events_of(parse_events(fh, workers=workers))
-                got = []
-                for per_actor in (False, True):
-                    given = IngestSummary()
-                    with open(path, encoding="utf-8") as fh:
-                        got.append(comparable(outcome(
-                            lambda: interevent_durations(
-                                parse_events(fh, workers), direction, given, per_actor
-                            )
-                        )))
-                    got.append(given.to_dict())
-                results.append((events, got))
-            return results
+    def test_parse_matches_serial(self, text, direction, chunk, block, end, trailing):
+        # Blocks of a few dozen bytes: lines straddle the cuts, and blocks
+        # the numpy parser takes mix with blocks it declines.
+        data = with_line_ends(text, end, trailing)
+        universal = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
 
-        with self.small_pool(chunk):
-            results = on_disk(with_line_ends(text, end, trailing), run)
-        assert results[1] == results[0]
-        assert results[2] == results[0]
+        def run(open_stream):
+            with open_stream() as fh:
+                got = [outcome(lambda: exact_events(parse_events(fh)))]
+            for per_actor in (False, True):
+                given = IngestSummary()
+                with open_stream() as fh:
+                    got.append(comparable(outcome(
+                        lambda: interevent_durations(
+                            parse_events(fh), direction, given, per_actor
+                        )
+                    )))
+                got.append(given.to_dict())
+            return got
+
+        with mock.patch.multiple(ingestion, CHUNK_ROWS=chunk, BLOCK_BYTES=block):
+            blocks = on_disk(data, lambda path: run(partial(open, path, encoding="utf-8")))
+            serial = run(lambda: io.StringIO(universal))
+        assert blocks == serial
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -508,16 +562,16 @@ class TestWorkerRanges:
         LINE_ENDS,
         st.booleans(),
     )
-    def test_ranges_split_after_newlines_unless_quoted(self, text, end, trailing):
+    def test_ranges_split_after_newlines(self, text, end, trailing):
         data = with_line_ends(text, end, trailing)
 
         def run(path):
             with open(path, encoding="utf-8") as fh:
-                return ingestion._line_ranges(fh, 3, forbid=b'"')
+                return ingestion._line_ranges(fh, 3)
 
         with self.small_pool(1):
             ranges = on_disk(data, run)
-        if b'"' in data or not data:
+        if not data:
             assert ranges is None
             return
         assert ranges[0][0] == 0 and ranges[-1][1] == len(data)
@@ -562,13 +616,6 @@ class TestWorkerRanges:
         assert written[1] == written[0]
         assert written[2] == written[0]
 
-    def test_quoted_file_takes_one_range(self, tmp_path):
-        path = tmp_path / "events.csv"
-        path.write_text("actor,timestamp\n" + "a,1\n" * 50 + '"b",2\n')
-        with self.small_pool(1), open(path) as fh:
-            assert ingestion._line_ranges(fh, 3) is not None
-            assert ingestion._line_ranges(fh, 3, forbid=b'"') is None
-
     def test_other_encodings_take_one_range(self, tmp_path):
         path = tmp_path / "durations.txt"
         path.write_text("1.5\n" * 50, encoding="utf-16")
@@ -590,19 +637,18 @@ class TestWorkerRanges:
                     read_durations_text(fh, workers)
 
     def test_stream_past_its_start_is_read_from_there(self, tmp_path):
-        # Lines already read from the stream are not parsed again, in
-        # workers or not: the result is the serial one on the rest.
+        # Lines already read from the stream are not parsed again, by the
+        # block parser or in workers: the result is the serial one on the rest.
         events, durations = tmp_path / "events.csv", tmp_path / "durations.txt"
         rest = "actor,timestamp\n" + "".join(f"a{k % 7},{k * k % 97}\n" for k in range(300))
         events.write_text("# exported log\n" + rest)
         durations.write_text("7.25\n" * 40 + "".join(f"{k + 0.5}\n" for k in range(60)))
         want_events = comparable(interevent_durations(parse_events(io.StringIO(rest))))
         with self.small_pool(16):
+            with open(events) as fh:
+                fh.readline()
+                assert comparable(interevent_durations(parse_events(fh))) == want_events
             for workers in WORKERS:
-                with open(events) as fh:
-                    fh.readline()
-                    got = interevent_durations(parse_events(fh, workers))
-                assert comparable(got) == want_events
                 with open(durations) as fh:
                     for _ in range(40):
                         fh.readline()
@@ -617,29 +663,73 @@ class TestWorkerRanges:
             assert ingestion._line_ranges(fh, 3) is None
 
     def big_csv(self, tmp_path, bad_line: bytes) -> str:
-        """A log whose bad line lies past what the parent reads for the header."""
+        """A log whose bad line lies in one of its later blocks."""
         path = tmp_path / "events.csv"
         path.write_bytes(b"actor,timestamp\n" + b"a,1\n" * 5000 + bad_line + b"a,2\n" * 5000)
         return str(path)
 
-    def parse_all(self, path, workers):
-        with open(path, encoding="utf-8") as fh:
-            return interevent_durations(parse_events(fh, workers=workers))
+    def parse_all(self, path, took):
+        """Parse ``path`` in blocks of 4 KiB, appending to ``took`` whether
+        the numpy parser took each block it was given."""
+        real = ingestion._block_batch
 
-    def test_decode_error_in_worker_reaches_caller(self, tmp_path):
+        def block_batch(*args):
+            batch = real(*args)
+            took.append(batch is not None)
+            return batch
+
+        with mock.patch.multiple(ingestion, BLOCK_BYTES=4096, _block_batch=block_batch):
+            with open(path, encoding="utf-8") as fh:
+                return interevent_durations(parse_events(fh))
+
+    @pytest.mark.parametrize(
+        "line",
+        [f"a,{stamp}\n" for stamp in STAMPS]
+        # A lone CR, a short row beside a long one, a NUL, a CRLF.
+        + ["a\rb,5\n", "a\nb,1,7\n", "a\0,3\n", "a,1\r\n"],
+    )
+    def test_edge_line_matches_csv_path(self, tmp_path, line):
+        text = "actor,timestamp\n" + "a,1\nb,2\n" * 8 + line + "a,3\nb,4\n" * 8
+        path = tmp_path / "events.csv"
+        path.write_bytes(text.encode())
+        universal = text.replace("\r\n", "\n").replace("\r", "\n")
+
+        def parse(stream):
+            # csv.reader raises csv.Error on a NUL before Python 3.11.
+            try:
+                batches = list(parse_events(stream))
+            except csv.Error as exc:
+                return type(exc)
+            per_actor = interevent_durations(batches, per_actor=True)
+            return exact_events(batches), comparable(per_actor)
+
+        with mock.patch.object(ingestion, "BLOCK_BYTES", 16), open(path) as fh:
+            assert parse(fh) == parse(io.StringIO(universal))
+
+    def test_rest_after_first_quote_takes_csv_path(self, tmp_path):
+        # A quoted field may hold a newline, so csv.reader reads the file
+        # from the block that holds its first quote on.
+        text = "actor,timestamp\n" + "a,1\n" * 2000 + '"b\nc",2\n' + "a,3\nb\nc,4\n" * 600
+        path = tmp_path / "events.csv"
+        path.write_text(text)
+        took = []
+        got = self.parse_all(str(path), took)
+        assert took == [True]  # the first block of rows; the second holds the quote
+        assert comparable(got) == comparable(interevent_durations(parse_events(io.StringIO(text))))
+
+    def test_decode_error_reaches_caller(self, tmp_path):
         path = self.big_csv(tmp_path, b"\xff\xfe,3\n")
+        took = []
         with pytest.raises(UnicodeDecodeError):
-            self.parse_all(path, 1)
-        with self.small_pool(8192), pytest.raises(UnicodeDecodeError) as caught:
-            self.parse_all(path, 2)
-        assert from_workers(caught.value)
+            self.parse_all(path, took)
+        # The blocks before the bad one were parsed by numpy.
+        assert took[:-1] and all(took[:-1]) and not took[-1]
 
-    def test_csv_error_in_worker_reaches_caller(self, tmp_path):
+    def test_csv_error_reaches_caller(self, tmp_path):
         # A field over csv.field_size_limit() (a NUL byte raised csv.Error
         # only before Python 3.11).
         path = self.big_csv(tmp_path, b"a" * (csv.field_size_limit() + 1) + b",3\n")
+        took = []
         with pytest.raises(csv.Error):
-            self.parse_all(path, 1)
-        with self.small_pool(8192), pytest.raises(csv.Error) as caught:
-            self.parse_all(path, 2)
-        assert from_workers(caught.value)
+            self.parse_all(path, took)
+        assert took[:-1] and all(took[:-1]) and not took[-1]
