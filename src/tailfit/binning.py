@@ -66,6 +66,13 @@ class Histogram:
         return "\n".join(lines) + "\n"
 
 
+def _density_finite(counts: np.ndarray, n: int, widths: np.ndarray) -> bool:
+    """Whether n times each width, and so Histogram.density, is finite."""
+    with np.errstate(over="ignore"):
+        scaled = n * widths
+        return bool(np.isfinite(scaled).all() and np.isfinite(counts / scaled).all())
+
+
 class QuantizeResult(NamedTuple):
     sample: DurationSample
     dropped: int
@@ -81,8 +88,17 @@ def bin_linear(s: DurationSample, m: int) -> Histogram:
     if hi == lo:
         edges = np.array([lo, lo * (1.0 + 1e-12) if lo > 0 else 1.0])
         return Histogram(edges, np.array([s.n]), "linear", s.unit)
-    edges = np.linspace(lo, hi, m + 1)
+    try:
+        edges = np.linspace(lo, hi, m + 1)
+    except (MemoryError, ValueError):
+        # numpy's "Unable to allocate" or "Maximum allowed size exceeded".
+        raise ValueError(f"cannot allocate {m:.3g} linear bins over [{lo!r}, {hi!r}]") from None
     counts, _ = np.histogram(s.values, bins=edges)
+    if not _density_finite(counts, s.n, np.diff(edges)):
+        raise ValueError(
+            f"values in [{lo!r}, {hi!r}] reach the float64 limits: in {m} linear bins, n "
+            "times a width, or a density, would be infinite"
+        )
     return Histogram(edges, counts, "linear", s.unit)
 
 
@@ -103,10 +119,7 @@ def bin_log(s: DurationSample, bins_per_decade: int) -> Histogram:
     finite = bool(np.isfinite(edges[-1]) and np.all(widths > 0))
     if finite:
         counts, _ = np.histogram(s.values, bins=edges)
-        # Histogram.density divides the counts by n times the widths.
-        with np.errstate(over="ignore"):
-            scaled = s.n * widths
-            finite = bool(np.isfinite(scaled).all() and np.isfinite(counts / scaled).all())
+        finite = _density_finite(counts, s.n, widths)
     if not finite:
         raise ValueError(
             f"values in [{s.x_min!r}, {s.x_max!r}] reach the float64 limits: their "

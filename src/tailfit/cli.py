@@ -234,14 +234,27 @@ def cmd_bin(args) -> int:
     sample, _ = _preprocess(sample, args)
     if args.log_bins is not None:
         hist = binning.bin_log(sample, args.log_bins)
+    elif args.width is not None:
+        try:
+            hist = binning.bin_linear(sample, _bins_of_width(sample, args.width))
+        except ValueError as exc:
+            raise ValueError(f"--width {args.width!r}: {exc}") from None
     else:
-        if args.width is not None:
-            m = max(1, int(round((sample.x_max - sample.x_min) / args.width)))
-        else:
-            m = args.bins
-        hist = binning.bin_linear(sample, m)
+        hist = binning.bin_linear(sample, args.bins)
     _write_text(hist.to_csv(), args.output)
     return EXIT_OK
+
+
+def _bins_of_width(sample: DurationSample, width: float) -> int:
+    """The number of linear bins of about ``width`` over the sample's range."""
+    if not width > 0:
+        raise ValueError("must be positive")
+    bins = (sample.x_max - sample.x_min) / width
+    if not np.isfinite(bins):
+        raise ValueError(
+            f"[{sample.x_min!r}, {sample.x_max!r}] holds more bins than a float64 can count"
+        )
+    return max(1, int(round(bins)))
 
 
 def cmd_fit(args) -> int:

@@ -479,7 +479,11 @@ def bootstrap_pvalue(
 
     ``quantize_step`` applies the same provider-resolution truncation to
     every replicate, for samples that were themselves quantized. A
-    replicate that keeps fewer than two values is a failed replicate.
+    replicate that keeps fewer than two values is a failed replicate, as
+    is one with a tail draw past the largest float64. A fit whose tail
+    would draw past it in one replicate or more of ``reps``, on average,
+    cannot be bootstrapped: DegenerateSampleError is raised before any
+    replicate runs.
     ``workers`` > 1 runs the replicates in forked worker processes; the
     result does not depend on it.
     """
@@ -489,12 +493,17 @@ def bootstrap_pvalue(
     body = s.values[:int(np.searchsorted(s.values, xmin))]
     p_tail = fit.n_tail / n
     model = fit.model()
+    _check_tail_fits_float64(model, fit, reps)
 
     def replicate(rng: np.random.Generator) -> float:
         k = int(rng.binomial(n, p_tail))
         parts = []
         if k > 0:
-            parts.append(_draw_tail(model, fit, k, rng))
+            with np.errstate(over="ignore"):
+                tail = _draw_tail(model, fit, k, rng)
+            if not np.isfinite(tail).all():
+                raise DegenerateSampleError("a tail draw passes the largest float64")
+            parts.append(tail)
         if n - k > 0:
             parts.append(rng.choice(body, size=n - k, replace=True))
         values = np.concatenate(parts)
@@ -509,6 +518,24 @@ def bootstrap_pvalue(
         return fit_lognormal(synthetic, xmin=fit.xmin, **fit_options).ks
 
     return _bootstrap(replicate, fit.ks, reps, g, workers)
+
+
+def _check_tail_fits_float64(model, fit: FitReport, reps: int) -> None:
+    """Raise DegenerateSampleError if, on average, one or more of ``reps``
+    bootstrap replicates would draw a tail value past the largest float64."""
+    top = float(np.finfo(float).max)
+    if fit.family == "powerlaw":
+        log_p = (1.0 - model.gamma) * math.log(top / model.tau)
+    else:
+        log_p = model.logsf(top) - (model.logsf(fit.xmin) if fit.xmin is not None else 0.0)
+    # A replicate draws about n_tail tail values.
+    with np.errstate(divide="ignore"):
+        expected = reps * -float(np.expm1(fit.n_tail * np.log1p(-math.exp(log_p))))
+    if expected >= 1:
+        raise DegenerateSampleError(
+            f"the fitted {fit.family} tail passes the largest float64 in about "
+            f"{expected:.3g} of {reps} bootstrap replicates; it is too heavy to bootstrap"
+        )
 
 
 def _draw_tail(model, fit: FitReport, k: int, rng: np.random.Generator) -> np.ndarray:

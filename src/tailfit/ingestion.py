@@ -6,7 +6,8 @@ An event CSV that is a regular file is read in blocks of about
 rows becomes one ``EventBatch``, parsed by numpy alone: the newline and
 comma offsets give the fields, actors and directions are numbered as
 fixed-width byte keys, and ``digits[.digits]`` timestamps are read by
-Clinger's fast path. Any other block, the rest of a file from its first
+``floattext.decimal_values`` exactly as ``float`` reads them. Any other
+block, the rest of a file from its first
 ``"`` on, and any other stream are read by ``csv.reader`` in chunks of
 ``CHUNK_ROWS`` rows, a batch per chunk. A batch holds columns: the
 accepted timestamps, actor codes into the batch's own actor names, and
@@ -17,11 +18,22 @@ two columns of 12 bytes per event (a float64 timestamp and an int32
 actor code, actors numbered in first-seen order), plus one batch, so
 memory still grows with the number of events. It then takes every
 actor's gaps at once: one stable sort by actor (a radix sort of 16-bit
-codes when the actors allow), one diff, a mask at the actor boundaries,
-and one sort of the positive gaps; only when some actor's stamps are
-out of file order are they sorted within each actor.
+codes when the actors allow; none when the log is grouped by actor
+already), one diff, a mask at the actor boundaries, and one sort of the
+positive gaps; only when some actor's stamps are out of file order are
+they sorted within each actor.
 
-Duration text is written and read in blocks of ``CHUNK_ROWS`` values.
+Duration text holds one value per line as ``repr`` writes it. It is
+written in blocks of ``CHUNK_ROWS`` values, each laid out by
+``floattext.shortest_lines`` (Schubfach's shortest digits in ``repr``'s
+layout, byte for byte). A regular duration file read from its start is
+read in blocks of about ``BLOCK_BYTES`` that end just after a newline
+byte; a block of ``digits[.digits]`` lines is read by
+``floattext.decimal_values``, any other block (blank lines, CRs,
+exponents, padding, ``nan``, more than 19 significant digits...) line by
+line with ``float``, as standard input and other streams are. The
+kernels give ``repr``'s and ``float``'s results bit for bit, so the
+outputs are the same either way.
 
 With more than one worker, large duration texts are formatted and read
 in contiguous ranges by forked processes (``pool.run_ranges``): a regular
@@ -47,6 +59,7 @@ from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
+from .floattext import decimal_values, field_chars, shortest_lines
 from .pool import RANGES_PER_WORKER, even_ranges, run_ranges, usable_workers
 from .sample import DurationSample
 
@@ -121,7 +134,7 @@ def parse_events(stream: TextIO) -> Iterator[EventBatch]:
     either way.
     """
     file = _regular_file(stream)
-    blocks = _line_blocks(*file) if file is not None else iter(())
+    blocks = _line_blocks(file[0], 0, file[1]) if file is not None else iter(())
     first = next(blocks, b"")
     cut = first.find(b"\n") + 1 or len(first)
     header = first[:cut]
@@ -220,25 +233,14 @@ def _plain(data: bytes) -> bool:
     return bool(data) and data.isascii() and b"\0" not in data and b'"' not in data
 
 
-# A stamp the block parser reads has at most 19 digits, so that they fit
-# in a uint64, and so at most 19 fraction digits: 10**k is exact in
-# float64 for every k <= 22.
-_MAX_STAMP = 20
-_POW10 = np.array([float(10**k) for k in range(_MAX_STAMP)])
-
-
 def _block_batch(block: bytes, n_fields, i_actor, i_ts, i_dir) -> EventBatch | None:
     """The rows of ``block`` (whole lines) as one batch, parsed by numpy
     alone; or None, declining the block, unless it is ASCII without a NUL,
     a ``"`` or a CR outside a CRLF, and every row has the header's field
     count, no field longer than ``csv.field_size_limit()``, and a
-    ``digits[.digits]`` timestamp whose digit string M is at most 2**53.
-
-    Such a stamp is float64(M) / 10.0**k with k fraction digits (k <= 19):
-    a correctly rounded division of two exact doubles, which is the
-    correctly rounded value ``float`` gives (Clinger 1990, "How to read
-    floating point numbers accurately"). Actors and directions are
-    numbered in first-seen order as fixed-width byte keys.
+    ``digits[.digits]`` timestamp that ``floattext.decimal_values`` reads
+    as ``float`` does. Actors and directions are numbered in first-seen
+    order as fixed-width byte keys.
     """
     if not _plain(block):
         return None
@@ -273,36 +275,9 @@ def _block_batch(block: bytes, n_fields, i_actor, i_ts, i_dir) -> EventBatch | N
     if widths.max() > csv.field_size_limit():
         return None
 
-    w = widths[i_ts]
-    width = int(w.max())
-    if w.min() == 0 or width > _MAX_STAMP:
+    stamps = decimal_values(raw, starts[i_ts], widths[i_ts])
+    if stamps is None:
         return None
-    chars = _field_chars(raw, starts[i_ts], w, width)
-    digits = chars - np.uint8(ord("0"))
-    is_digit = digits < 10
-    is_dot = chars == ord(".")
-    dots = is_dot.sum(0, dtype=np.uint8)
-    n_digits = is_digit.sum(0, dtype=np.uint8)
-    # A stamp is 1 to 19 digits and at most one dot.
-    if np.any(n_digits + dots != w) or dots.max() > 1:
-        return None
-    if not 0 < n_digits.min() <= n_digits.max() <= 19:
-        return None
-    # Horner's rule over the character positions, passing over the dot
-    # and the zero padding; below 10**19 nothing wraps.
-    digits *= is_digit
-    scale = is_digit * np.uint8(9) + np.uint8(1)
-    mantissa = np.zeros(n, np.uint64)
-    for position in range(width):
-        mantissa *= scale[position]
-        mantissa += digits[position]
-    dot_at = (is_dot * np.arange(width, dtype=np.uint8)[:, None]).sum(0, dtype=np.uint8)
-    fraction = dots * (w - 1 - dot_at)
-    del chars, digits, is_digit, is_dot, scale
-    if mantissa.max() > np.uint64(2**53):  # compared as uint64, not float64
-        return None
-    stamps = mantissa.astype(np.float64) / _POW10[fraction]
-
     keys = [_field_keys(raw, starts[i], widths[i]) for i in (i_actor, i_dir) if i is not None]
     if any(k is None for k in keys):
         return None
@@ -320,16 +295,6 @@ def _block_batch(block: bytes, n_fields, i_actor, i_ts, i_dir) -> EventBatch | N
     return EventBatch(stamps, codes, names, directions, n, n - stamps.size)
 
 
-def _field_chars(raw, starts, widths, width) -> np.ndarray:
-    """A (width, rows) uint8 array whose column r holds the field
-    raw[starts[r] : starts[r] + widths[r]], zero past its end."""
-    chars = np.empty((width, starts.size), np.uint8)
-    for position in range(width):
-        np.take(raw, starts + position, out=chars[position], mode="clip")
-    chars *= np.arange(width)[:, None] < widths
-    return chars
-
-
 def _field_keys(raw, starts, widths) -> np.ndarray | None:
     """The fields as fixed-width byte strings (NUL-padded) as wide as the
     widest, or None if those would take more than four times ``raw``'s
@@ -337,7 +302,7 @@ def _field_keys(raw, starts, widths) -> np.ndarray | None:
     width = max(int(widths.max()), 1)
     if starts.size * width > 4 * raw.size:
         return None
-    return _field_chars(raw, starts, widths, width).T.copy().view(f"S{width}").ravel()
+    return field_chars(raw, starts, widths, width).T.copy().view(f"S{width}").ravel()
 
 
 def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -406,13 +371,17 @@ def interevent_durations(
     sizes = np.bincount(codes, minlength=len(names))
     # A stable sort by actor keeps each actor's events in file order; with
     # at most 65536 actors the codes fit in 16 bits, which numpy sorts by
-    # radix.
-    if len(names) <= 1 << 16:
-        codes = codes.astype(np.uint16)
-    order = np.argsort(codes, kind="stable")
-    del codes
-    stamps = stamps[order]
-    del order
+    # radix. A log already grouped by actor (codes never decrease, since
+    # they number actors in first-seen order) is in that order already.
+    if np.any(codes[1:] < codes[:-1]):
+        if len(names) <= 1 << 16:
+            codes = codes.astype(np.uint16)
+        order = np.argsort(codes, kind="stable")
+        del codes
+        stamps = stamps[order]
+        del order
+    else:
+        del codes
     # Actor k's events sit at [ends[k] - sizes[k], ends[k]). Zeroing the
     # step from each actor's last event to the next actor's first masks
     # it out; the n - actors gaps within actors are counted.
@@ -481,28 +450,67 @@ def split_by_resolution(
 def read_durations_text(stream: TextIO, workers: int = 1) -> DurationSample:
     """One decimal duration per line.
 
-    With ``workers`` > 1, a large regular file is read in byte ranges by
-    forked workers; the sample is the same.
+    A regular file read from its start is read in blocks of about
+    ``BLOCK_BYTES`` that end just after a newline byte; a block of
+    ``digits[.digits]`` lines is read by ``floattext.decimal_values``, any
+    other block line by line with ``float``. With ``workers`` > 1, a large
+    file is read in byte ranges by forked workers. The sample is the same
+    either way.
     """
-    values = array("d")
-    ranges = _line_ranges(stream, workers)
-    if ranges is None:
+    file = _regular_file(stream)
+    if file is None:
+        values = array("d")
         bad = _read_lines(stream, values)
+        values = np.frombuffer(values, dtype=float)
     else:
-        def read_range(lo: int, hi: int) -> tuple[array, int]:
-            part = array("d")
-            text = _decoded(stream, b"".join(_blocks(stream.fileno(), lo, hi)))
-            return part, _read_lines(text, part)
+        def read_range(lo: int, hi: int) -> tuple[np.ndarray, int]:
+            parts, bad = [], 0
+            for block in _line_blocks(file[0], lo, hi):
+                part = _decimal_lines(block)
+                if part is None:
+                    lines = array("d")
+                    bad += _read_lines(_decoded(stream, block), lines)
+                    part = np.frombuffer(lines, dtype=float)
+                parts.append(part)
+            return _joined(parts), bad
 
-        bad = 0
-        for part, part_bad in run_ranges(read_range, ranges, workers):
-            values.extend(part)
-            bad += part_bad
-    if not values:
+        ranges = _line_ranges(stream, workers) or [(0, file[1])]
+        parts = list(run_ranges(read_range, ranges, workers))
+        bad = sum(part_bad for _, part_bad in parts)
+        values = _joined([part for part, _ in parts])
+        del parts
+    if not values.size:
         raise ValueError("no durations in input")
-    if bad > len(values):
+    if bad > values.size:
         raise ValueError(f"{bad} malformed duration lines")
-    return DurationSample(np.sort(np.frombuffer(values, dtype=float)))
+    # DurationSample sorts the values unless they already are, as a file
+    # that ingest or simulate wrote is.
+    return DurationSample(values)
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts or [np.empty(0)])
+
+
+def _decimal_lines(block: bytes) -> np.ndarray | None:
+    """The value of every line of ``block`` if each is ``digits[.digits]``
+    (see ``floattext.decimal_values``); else None. The lines go to the
+    kernel ``CHUNK_ROWS`` at a time, which bounds its temporaries."""
+    if not block.endswith(b"\n"):
+        block += b"\n"  # the file's last line
+    raw = np.frombuffer(block, np.uint8)
+    ends = np.flatnonzero(raw == 10)
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    widths = ends - starts
+    values = np.empty(ends.size)
+    for lo in range(0, ends.size, CHUNK_ROWS):
+        part = decimal_values(raw, starts[lo : lo + CHUNK_ROWS], widths[lo : lo + CHUNK_ROWS])
+        if part is None:
+            return None
+        values[lo : lo + CHUNK_ROWS] = part
+    return values
 
 
 def _read_lines(stream: TextIO, values: array) -> int:
@@ -528,7 +536,8 @@ def _read_lines(stream: TextIO, values: array) -> int:
 
 
 def write_durations_text(s: DurationSample, stream: TextIO, workers: int = 1) -> None:
-    """One duration per line, as the shortest decimal that reads back to it.
+    """One duration per line, as the shortest decimal that reads back to it
+    (``repr``), written by ``floattext.shortest_lines``.
 
     With ``workers`` > 1, a large sample is formatted in ranges of whole
     blocks by forked workers, and the parent writes each range's text as
@@ -545,9 +554,10 @@ def write_durations_text(s: DurationSample, stream: TextIO, workers: int = 1) ->
 
 
 def _format_values(values: np.ndarray, lo: int, hi: int) -> str:
-    # repr of a Python float is the shortest exact decimal representation.
+    """The text of values[lo:hi], a block of ``CHUNK_ROWS`` at a time."""
+    # A DurationSample's values are finite, so shortest_lines takes every block.
     return "".join(
-        "\n".join(map(repr, values[i : min(i + CHUNK_ROWS, hi)].tolist())) + "\n"
+        shortest_lines(values[i : min(i + CHUNK_ROWS, hi)]).decode("ascii")
         for i in range(lo, hi, CHUNK_ROWS)
     )
 
@@ -603,18 +613,18 @@ def _ascii_compatible(encoding) -> bool:
     return name in ("ascii", "utf-8") or name.startswith(("iso8859-", "cp125"))
 
 
-def _blocks(fd: int, lo: int, hi: int, size: int = 1 << 20) -> Iterator[bytes]:
+def _blocks(fd: int, lo: int, hi: int, size: int) -> Iterator[bytes]:
     """Bytes lo..hi of the file, a block at a time."""
     while lo < hi and (block := os.pread(fd, min(size, hi - lo), lo)):
         yield block
         lo += len(block)
 
 
-def _line_blocks(fd: int, size: int) -> Iterator[bytes]:
-    """The file's bytes in blocks of about ``BLOCK_BYTES``, each but the
-    last ending just after a newline byte."""
+def _line_blocks(fd: int, lo: int, hi: int) -> Iterator[bytes]:
+    """Bytes lo..hi of the file in blocks of about ``BLOCK_BYTES``, each but
+    the last ending just after a newline byte."""
     carry = b""
-    for block in _blocks(fd, 0, size, BLOCK_BYTES):
+    for block in _blocks(fd, lo, hi, BLOCK_BYTES):
         block = carry + block
         cut = block.rfind(b"\n") + 1
         if cut:

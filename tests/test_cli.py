@@ -146,13 +146,16 @@ class TestBin:
         counts = [int(line.split(",")[2]) for line in lines[1:]]
         assert sum(counts) == 5
 
-    def run_log_bins(self, tmp_path, capsys, values):
+    def run_bin(self, tmp_path, capsys, values, *options):
         sample = tmp_path / "s.txt"
         sample.write_text("".join(f"{v!r}\n" for v in values))
         # A numpy warning on the way fails the test.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return run(["bin", "--input", str(sample), "--log-bins", "5"], capsys)
+            return run(["bin", "--input", str(sample), *options], capsys)
+
+    def run_log_bins(self, tmp_path, capsys, values):
+        return self.run_bin(tmp_path, capsys, values, "--log-bins", "5")
 
     def test_log_bins_of_subnormal_values_is_invalid_input(self, tmp_path, capsys):
         # The bins are so narrow that counts / (n * width) overflows.
@@ -169,6 +172,44 @@ class TestBin:
         code, out, err = self.run_log_bins(tmp_path, capsys, values)
         assert (code, out) == (1, "")
         assert err.startswith("error: invalid-input: values in [1e+300, 1.7e+308] reach")
+
+    def test_bins_up_to_float_max_is_invalid_input(self, tmp_path, capsys):
+        # n times a width, 50 * 3.4e307, overflows: every density read 0.0.
+        values = np.geomspace(1e300, 1.7e308, 50).tolist()
+        code, out, err = self.run_bin(tmp_path, capsys, values, "--bins", "5")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: invalid-input: values in [1e+300, 1.7e+308] reach the float64 limits: "
+            "in 5 linear bins, n times a width, or a density, would be infinite\n"
+        )
+
+    def test_bins_of_subnormal_values_is_invalid_input(self, tmp_path, capsys):
+        # The densities, 3 / (4 * 6.3e-310), overflow to inf.
+        values = [1e-310, 2e-310, 5e-310, 2e-309]
+        code, out, err = self.run_bin(tmp_path, capsys, values, "--bins", "3")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: invalid-input: values in [1e-310, 2e-309] reach the")
+
+    @pytest.mark.parametrize(
+        "values, options, message",
+        [
+            # numpy could not allocate (50 - 1) / 1e-300 bins.
+            ([1.0, 2.0, 50.0], ["--width", "1e-300"],
+             "--width 1e-300: cannot allocate 4.9e+301 linear bins over [1.0, 50.0]"),
+            ([1.0, 2.0, 50.0], ["--bins", str(10**15)],
+             "cannot allocate 1e+15 linear bins over [1.0, 50.0]"),
+            # 1e10 / 1e-300 is inf, which int() could not round (an
+            # OverflowError traceback).
+            ([1.0, 1e10], ["--width", "1e-300"],
+             "--width 1e-300: [1.0, 10000000000.0] holds more bins than a float64 can count"),
+            ([1.0, 2.0], ["--width", "0"], "--width 0.0: must be positive"),
+        ],
+    )
+    def test_bins_past_memory_or_float64_are_invalid_input(
+        self, tmp_path, capsys, values, options, message
+    ):
+        code, out, err = self.run_bin(tmp_path, capsys, values, *options)
+        assert (code, out, err) == (1, "", f"error: invalid-input: {message}\n")
 
     def test_width_option(self, tmp_path, capsys):
         sample = tmp_path / "s.txt"
@@ -224,6 +265,24 @@ class TestFit:
         code, _, err = run(["fit", "--input", str(path), "--dist", "powerlaw"], capsys)
         assert code == 2
         assert "degenerate" in err
+
+    @pytest.mark.parametrize("dist", ["both", "powerlaw", "lognormal"])
+    def test_bootstrap_of_a_tail_past_float_max_is_degenerate(self, tmp_path, capsys, dist):
+        # Every replicate of either fit draws past the largest float64; a
+        # replicate's inf once ended the run as "non-finite durations".
+        path = tmp_path / "huge.txt"
+        path.write_text("".join(f"{v!r}\n" for v in np.geomspace(1e300, 1.7e308, 300).tolist()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                ["fit", "--input", str(path), "--dist", dist, "--bootstrap", "100"], capsys
+            )
+        family = "lognormal" if dist == "lognormal" else "powerlaw"
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: degenerate-data: the fitted {family} tail passes the largest float64 in "
+            "about 100 of 100 bootstrap replicates; it is too heavy to bootstrap\n"
+        )
 
     def test_quantize_reports_dropped(self, tmp_path, capsys):
         sample = self.make_sample(tmp_path, capsys, kind="lognormal")

@@ -8,6 +8,7 @@ import math
 import os
 import re
 import tracemalloc
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 from types import SimpleNamespace
 
@@ -498,6 +499,33 @@ class TestBootstrap:
         assert np.all(draws >= 1e4)
         p = bootstrap_pvalue(s, fit, 100, SeededGenerator(130)).p
         assert 0.0 <= p <= 1.0
+
+    def test_replicate_drawing_past_float_max_is_a_failed_replicate(self, monkeypatch):
+        # The first replicate's tail draws overflow, as a rare one of a
+        # heavy tail may; no numpy warning, and the others still count.
+        s = sample_powerlaw(PowerLawModel(2.0, 1.0), 500, SeededGenerator(131))
+        fit = fit_powerlaw_tail(s, xmin=1.0)
+        real = estimation._draw_tail
+        calls = []
+
+        def draw(*args):
+            calls.append(1)
+            values = real(*args)
+            return values * 1e308 if len(calls) == 1 else values
+
+        monkeypatch.setattr(estimation, "_draw_tail", draw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = bootstrap_pvalue(s, fit, 100, SeededGenerator(132))
+        assert result.failed == 1
+        assert result.ks[0] == math.inf
+
+    def test_tail_too_heavy_to_bootstrap_is_rejected_before_any_replicate(self, monkeypatch):
+        s = DurationSample(np.geomspace(1e300, 1.7e308, 300))
+        fit = fit_powerlaw_tail(s)
+        monkeypatch.setattr(estimation, "_draw_tail", None)  # never reached
+        with pytest.raises(DegenerateSampleError, match="passes the largest float64"):
+            bootstrap_pvalue(s, fit, 100, SeededGenerator(133))
 
     def test_lognormal_bootstrap_runs(self):
         s = sample_lognormal(LognormalModel(3.0, 1.0), 1_000, SeededGenerator(126))

@@ -1,6 +1,7 @@
 """Event-log parsing and inter-event duration extraction."""
 import csv
 import io
+import math
 import os
 import re
 import struct
@@ -24,7 +25,7 @@ from tailfit import (
     parse_events,
     split_by_resolution,
 )
-from tailfit import ingestion, pool
+from tailfit import floattext, ingestion, pool
 from tailfit.ingestion import (
     EventBatch,
     check_malformed_fraction,
@@ -138,6 +139,11 @@ def reference_read_durations_text(stream):
     if bad > len(values):
         raise ValueError(f"{bad} malformed duration lines")
     return DurationSample(np.sort(np.frombuffer(values, dtype=float)))
+
+
+def reference_write_durations_text(s, stream):
+    # repr of a Python float is the shortest exact decimal representation.
+    stream.write("".join(f"{v!r}\n" for v in s.values.tolist()))
 
 
 def outcome(fn, *args):
@@ -289,6 +295,28 @@ class TestIntereventDurations:
             keys = [c.args[0] for c in argsort.call_args_list if c.kwargs.get("kind") == "stable"]
             assert [k.dtype for k in keys] == [key_dtype]
             assert lexsort.call_count == lexsorts
+            assert comparable(got) == comparable(want)
+
+
+    @pytest.mark.parametrize("actors", [1, 300, 70000])
+    def test_grouped_log_takes_no_sort(self, actors):
+        # Each actor's events in one run, actors in first-seen order: the
+        # stable sort by actor would return the identity, so it is skipped
+        # along with its gather.
+        rng = np.random.default_rng(actors)
+        n = 3 * actors
+        codes = np.repeat(np.arange(actors, dtype=np.int32), 3)
+        stamps = np.cumsum(np.round(rng.exponential(1.0, n), 1))
+        names = [f"u{k}" for k in range(actors)]
+        events = [Event(names[c], t, None) for c, t in zip(codes.tolist(), stamps.tolist())]
+        for per_actor in (False, True):
+            want = reference_interevent_durations(events, None, IngestSummary(n), per_actor)
+            batch = EventBatch(stamps, codes, names, None, n, 0)
+            with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort, \
+                    mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+                got = interevent_durations([batch], per_actor=per_actor)
+            assert [c for c in argsort.call_args_list if c.kwargs.get("kind") == "stable"] == []
+            assert lexsort.call_count == 0
             assert comparable(got) == comparable(want)
 
 
@@ -733,3 +761,206 @@ class TestWorkerRanges:
         with pytest.raises(csv.Error):
             self.parse_all(path, took)
         assert took[:-1] and all(took[:-1]) and not took[-1]
+
+
+def float64_of_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# Any float64, with weight on the values where the shortest digits are
+# hard: powers of two and their neighbours (a narrower interval below),
+# values of few significant bits (exact decimal ties at 17 digits, such as
+# 2**-25 = 2.98023223876953125e-08), subnormals, and the decimal exponents
+# where repr switches layout (1e-4, 1e16).
+ANY_FLOAT = st.one_of(
+    st.floats(),
+    st.integers(0, 2**64 - 1).map(float64_of_bits),
+    st.builds(math.ldexp, st.integers(1, 2**12), st.integers(-1080, 1011)),
+    st.builds(math.ldexp, st.integers(1, 16), st.integers(-90, -10)),
+    st.tuples(st.integers(-1074, 1023), st.sampled_from([0.0, 1.0, math.inf])).map(
+        lambda p: float(np.nextafter(math.ldexp(1.0, p[0]), p[1]))
+    ),
+    st.integers(1, 2**16).map(lambda t: t * 5e-324),
+    st.sampled_from([1e-4, 1e-5, 1e15, 1e16, 9999999999999998.0, 0.0001000000000000001]).flatmap(
+        lambda v: st.sampled_from([v, float(np.nextafter(v, 0)), float(np.nextafter(v, 2 * v))])
+    ),
+)
+
+
+def kernel_field(field: str) -> bool:
+    """Whether ``floattext.decimal_values`` takes ``field``: digits and at
+    most one ".", at most 22 digits and 19 from the first nonzero one on."""
+    digits = field.replace(".", "", 1)
+    return (
+        bool(digits)
+        and digits.isascii()
+        and digits.isdigit()
+        and len(digits) <= 22
+        and len(digits.lstrip("0")) <= 19
+    )
+
+
+def point(n: int, k: int) -> str:
+    """n / 10**k written out in full."""
+    digits = str(n).rjust(k + 1, "0")
+    return f"{digits[:-k]}.{digits[-k:]}" if k else digits
+
+
+def midpoint(m: int, e: int) -> str:
+    """The exact midpoint (2m + 1) * 2**(e - 1) of m * 2**e and its upper
+    neighbour, written out in full."""
+    if e < 1:
+        return point((2 * m + 1) * 5 ** (1 - e), 1 - e)
+    return str((2 * m + 1) << (e - 1))
+
+
+def with_last_digit_moved(text: str, by: int) -> str:
+    head, last = text[:-1], text[-1]
+    if last == ".":
+        return text
+    return head + str((int(last) + by) % 10)
+
+
+# Decimal fields: the block parser's STAMPS; free digit strings; exact
+# midpoints between neighbouring float64 values past 2**53 (ties, where
+# float rounds to the even significand) and their last digit moved by
+# one; and values just below a power of two, where the division
+# float64(M) / 10**k lands on the power and the nearest float64 is below
+# it, at half the spacing above.
+DECIMAL_FIELD = st.one_of(
+    st.sampled_from(STAMPS),
+    st.tuples(st.text("0123456789", min_size=1, max_size=24), st.integers(0, 24)).map(
+        lambda t: t[0][: t[1]] + "." + t[0][t[1]:] if t[1] < len(t[0]) else t[0]
+    ),
+    st.tuples(st.integers(2**52, 2**53 - 1), st.integers(-4, 11), st.sampled_from([0, 0, 1, -1])).map(
+        lambda t: with_last_digit_moved(midpoint(t[0], t[1]), t[2])
+    ),
+    st.tuples(st.integers(50, 63), st.integers(0, 3), st.integers(1, 99)).map(
+        lambda t: point(2 ** t[0] * 10 ** t[1] - t[2], t[1])
+    ),
+)
+
+
+@st.composite
+def duration_files(draw):
+    """Lines of a duration file whose blocks the kernels take or decline:
+    reprs, and among them blank lines, padded, underscored, exponent and
+    too long numbers, nan, and what no sample may hold."""
+    value = st.floats(min_value=1e-300, max_value=1e300).map(repr)
+    odd = st.sampled_from(
+        ["", "  ", "1_000", " 12 ", "nan", "1e-05", "x", "0", "-3", "12345678901234567890",
+         "0.00000000000000000000012345", "18446744073709551621", "7"]
+    )
+    lines = draw(st.lists(st.one_of(value, value, value, odd), max_size=40))
+    return "".join(f"{line}\n" for line in lines)
+
+
+class TestFloatText:
+    """The numpy kernels against repr and float, value by value, and the
+    duration text layer on files against the per-line references."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(ANY_FLOAT, max_size=60))
+    def test_shortest_lines_is_repr(self, values):
+        got = floattext.shortest_lines(np.array(values, dtype=float))
+        if all(map(math.isfinite, values)):
+            assert got == "".join(f"{v!r}\n" for v in values).encode()
+        else:
+            assert got is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(DECIMAL_FIELD, min_size=1, max_size=40))
+    def test_decimal_values_is_float(self, fields):
+        block = "".join(f"{field}\n" for field in fields).encode()
+        raw = np.frombuffer(block, np.uint8)
+        ends = np.flatnonzero(raw == 10)
+        starts = np.concatenate([[0], ends[:-1] + 1])
+        got = floattext.decimal_values(raw, starts, ends - starts)
+        if all(map(kernel_field, fields)):
+            assert got.tobytes() == np.array([float(f) for f in fields]).tobytes()
+        else:
+            assert got is None
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("9007199254740993", 9007199254740992.0),  # a tie: to the even one
+            ("1014403211915866.5", 1014403211915866.5),
+            ("1125899906842623.9", 1125899906842623.875),  # below 2**50
+            ("18014398509481986", 18014398509481984.0),  # a tie past 2**54
+            ("18014398509481990", 18014398509481992.0),
+            ("18446744073709551621", None),  # wraps a uint64 to 5
+            ("0000000000000000000000", 0.0),
+            ("0.000000000000000000001", 1e-21),  # 22 digits
+        ],
+    )
+    def test_decimal_edge_fields(self, field, value):
+        raw = np.frombuffer(field.encode(), np.uint8)
+        got = floattext.decimal_values(raw, np.array([0]), np.array([raw.size]))
+        if value is None:
+            assert got is None
+        else:
+            assert got.tobytes() == np.array([float(field)]).tobytes() == np.array([value]).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(duration_files(), st.integers(8, 96), LINE_ENDS, st.booleans())
+    def test_read_on_disk_is_reference(self, text, block, end, trailing):
+        # Blocks of a few dozen bytes, so that blocks the kernel takes mix
+        # with blocks it declines, in one process and in 2 or 3 workers.
+        data = with_line_ends(text, end, trailing)
+        universal = data.decode().replace("\r\n", "\n").replace("\r", "\n")
+        want = outcome(reference_read_durations_text, io.StringIO(universal))
+
+        def read(path):
+            got = []
+            for workers in WORKERS:
+                with open(path, encoding="utf-8") as fh:
+                    got.append(outcome(read_durations_text, fh, workers))
+            return got
+
+        with mock.patch.multiple(ingestion, BLOCK_BYTES=block, POOL_MIN_BYTES=1):
+            with mock.patch.object(pool, "_usable_cpus", lambda: 3):
+                got = on_disk(data, read)
+        for result in got:
+            if isinstance(want, tuple):
+                assert result == want
+            else:
+                assert result.values.tobytes() == want.values.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(ANY_FLOAT.filter(lambda v: math.isfinite(v) and v > 0), min_size=1, max_size=60),
+           st.integers(1, 8))
+    def test_write_on_disk_is_reference(self, values, chunk):
+        sample = DurationSample(np.array(values))
+        want = io.StringIO()
+        reference_write_durations_text(sample, want)
+
+        def write(workers):
+            def run(path):
+                with open(path, "w", encoding="utf-8") as fh:
+                    write_durations_text(sample, fh, workers)
+                with open(path, "rb") as fh:
+                    return fh.read()
+
+            return on_disk(b"", run)
+
+        with mock.patch.multiple(ingestion, CHUNK_ROWS=chunk, POOL_MIN_BYTES=1):
+            with mock.patch.object(pool, "_usable_cpus", lambda: 3):
+                for workers in WORKERS:
+                    assert write(workers) == want.getvalue().encode()
+
+    def test_blocks_mix_kernel_and_per_line_reads(self, tmp_path):
+        path = tmp_path / "durations.txt"
+        path.write_text("1.5\n" * 30 + "1e-05\n" + "2.25\n" * 30)
+        real = floattext.decimal_values
+        took = []
+
+        def spy(*args):
+            values = real(*args)
+            took.append(values is not None)
+            return values
+
+        with mock.patch.multiple(ingestion, BLOCK_BYTES=64, decimal_values=spy), open(path) as fh:
+            got = read_durations_text(fh)
+        assert True in took and False in took
+        assert got.values.tolist() == sorted([1.5] * 30 + [1e-05] + [2.25] * 30)
