@@ -162,12 +162,27 @@ def powerlaw_logpdf_of_log(y, gamma: float, tau: float):
     return math.log(gamma - 1.0) + (gamma - 1.0) * math.log(tau) - gamma * y
 
 
-def lognormal_logpdf_of_log(y, mu: float, sigma: float):
+def lognormal_logpdf_of_log(y, mu: float, sigma: float, out=None):
     """Lognormal log-density log phi(z) - log sigma - y at y = ln x, with
     z = (y - mu) / sigma; no domain check.
+
+    The float operations run in the order of that formula, in two arrays
+    shaped like y: ``out``, a pair of float64 arrays that are then
+    overwritten (z goes to the first, the result to the second, which is
+    returned), or two new ones.
     """
-    z = (y - mu) / sigma
-    return -0.5 * z * z - _LOG_SQRT_2PI - math.log(sigma) - y
+    if out is None:
+        y = np.asarray(y, dtype=float)
+        out = np.empty_like(y), np.empty_like(y)
+    z, r = out
+    np.subtract(y, mu, out=z)
+    np.divide(z, sigma, out=z)
+    np.multiply(-0.5, z, out=r)
+    np.multiply(r, z, out=r)
+    np.subtract(r, _LOG_SQRT_2PI, out=r)
+    np.subtract(r, math.log(sigma), out=r)
+    np.subtract(r, y, out=r)
+    return r
 
 
 def lognormal_logsf_of_log(y, mu: float, sigma: float):

@@ -129,8 +129,13 @@ def ks_distance(sample, cdf) -> float:
     """sup over sample points of max(|EDF(x-) - F(x)|, |EDF(x) - F(x)|).
 
     A ``DurationSample``, or an array already in ascending order, is used
-    as it is; any other array is sorted first. Besides the cdf values, the
-    two deviations take one n-sized buffer each, one after the other.
+    as it is; any other array is sorted first. ``cdf`` acts elementwise.
+    When ties take at least half the points, the cdf is evaluated once per
+    run of equal values and scored at each run's two ends, as the cutoff
+    scan does (see ``_runs_ks``); that takes at most the memory of the
+    other path. Otherwise, besides the cdf values, the two deviations take
+    one n-sized buffer each, one after the other. Both give the maximum
+    over every point bit for bit.
     """
     if isinstance(sample, DurationSample):
         values = sample.values
@@ -141,6 +146,13 @@ def ks_distance(sample, cdf) -> float:
     n = values.size
     if n < 1:
         raise ValueError("need at least one point")
+    new_run = values[1:] != values[:-1]
+    if 2 * (1 + int(np.count_nonzero(new_run))) <= n:
+        first = np.flatnonzero(np.concatenate(([True], new_run)))  # run starts
+        del new_run
+        f = np.asarray(cdf(values[first]), dtype=float)
+        return _runs_ks(f, first, np.append(first[1:], n), n)[0]
+    del new_run
     f = np.asarray(cdf(values), dtype=float)
     hi = np.arange(1, n + 1, dtype=float)
     hi /= n
@@ -152,24 +164,35 @@ def ks_distance(sample, cdf) -> float:
     return max(d_hi, d_lo)
 
 
+def _runs_ks(f, below, upto, m) -> tuple[float, int, int]:
+    """The KS kernel on runs of equal values: the largest deviation of the
+    cdf values ``f`` (one per run) from the EDF levels below/m and upto/m,
+    where ``below`` and ``upto`` count the points below each run and up to
+    its end, and m is the number of points; with the runs where the lower
+    and upper deviations peak.
+
+    Within a run the cdf is constant while the EDF steps through
+    consecutive levels, so the largest deviation sits at one of the run's
+    two ends, and the result equals the maximum over every point bit for
+    bit. Passing every point as a run of one is exact too.
+    """
+    d_lo, p_lo = _edf_gap(below / m, f)
+    d_hi, p_hi = _edf_gap(upto / m, f)
+    return max(d_lo, d_hi), p_lo, p_hi
+
+
 def _powerlaw_tail_ks(values, below, upto, xmin, gamma) -> tuple[float, int, int]:
     """KS distance between the EDF of a sorted tail and the power-law cdf
     1 - (x/xmin)**(1-gamma), and the runs where its lower and upper
     deviations peak.
 
-    The tail comes as runs of equal values: each run's value, and the
-    number of tail points below the run and up to its end (the last of
-    which is the tail size). Within a run the cdf is constant while the
-    EDF steps through consecutive levels, so the largest deviation sits at
-    one of the run's two ends, and the result equals the maximum over
-    every point bit for bit. Passing every point as a run of one is exact
-    too. The two runs are indices into the arrays passed in.
+    The tail comes as runs of equal values (see ``_runs_ks``): each run's
+    value, and the number of tail points below the run and up to its end
+    (the last of which is the tail size). The two runs are indices into
+    the arrays passed in.
     """
-    m = upto[-1]
     f = -np.expm1((1.0 - gamma) * np.log(values / xmin))
-    d_lo, p_lo = _edf_gap(below / m, f)
-    d_hi, p_hi = _edf_gap(upto / m, f)
-    return max(d_lo, d_hi), p_lo, p_hi
+    return _runs_ks(f, below, upto, upto[-1])
 
 
 # The cutoff scan bounds every candidate's KS from below, first on a grid
@@ -405,13 +428,15 @@ def _truncated_lognormal_mle(y: np.ndarray, w: float) -> tuple[float, float, flo
     sigma0 = min(max(sd, 1e-6), SIGMA_MAX)
 
     m = y.size
+    # Every evaluation writes the log-densities into the same two buffers.
+    work = np.empty(m), np.empty(m)
 
     def negloglik(theta):
         mu, log_sigma = theta
         sigma = math.exp(log_sigma)
         # Tail log-likelihood: the log-densities less m times log Sf(w).
         log_sf = lognormal_logsf_of_log(w, mu, sigma)
-        loglik = np.sum(lognormal_logpdf_of_log(y, mu, sigma)) - m * log_sf
+        loglik = np.sum(lognormal_logpdf_of_log(y, mu, sigma, out=work)) - m * log_sf
         # Mean (not sum) keeps the objective O(1) for the line search.
         return -float(loglik) / m
 

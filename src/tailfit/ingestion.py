@@ -20,7 +20,8 @@ memory still grows with the number of events. It then takes every
 actor's gaps at once: one stable sort by actor (a radix sort of 16-bit
 codes when the actors allow; none when the log is grouped by actor
 already), one diff, a mask at the actor boundaries, and one sort of the
-positive gaps; only when some actor's stamps are out of file order are
+gaps in place, whose zero gaps then form a prefix that the sample leaves
+out; only when some actor's stamps are out of file order are
 they sorted within each actor.
 
 Duration text holds one value per line as ``repr`` writes it. It is
@@ -72,6 +73,8 @@ CHUNK_ROWS = 8192
 POOL_MIN_BYTES = 4 << 20
 # An event CSV file is parsed in blocks of about this many bytes.
 BLOCK_BYTES = 1 << 20
+# Actor codes are counted at least this many at a time.
+COUNT_BLOCK = 1 << 16
 
 
 @dataclass
@@ -368,7 +371,13 @@ def interevent_durations(
     codes, stamps, names = _columns(events, direction, summary)
     n = codes.size
     summary.actors = len(names)
-    sizes = np.bincount(codes, minlength=len(names))
+    # bincount casts the codes it counts to int64, so they go a block at a
+    # time; a block at least as long as the actor list keeps the counting
+    # linear in the events.
+    sizes = np.zeros(len(names), dtype=np.int64)
+    step = max(COUNT_BLOCK, len(names))
+    for lo in range(0, n, step):
+        sizes += np.bincount(codes[lo : lo + step], minlength=len(names))
     # A stable sort by actor keeps each actor's events in file order; with
     # at most 65536 actors the codes fit in 16 bits, which numpy sorts by
     # radix. A log already grouped by actor (codes never decrease, since
@@ -398,8 +407,8 @@ def interevent_durations(
         gaps = np.diff(stamps)
         gaps[ends[:-1] - 1] = 0.0
     del stamps
-    positive = gaps > 0
-    emitted = int(np.count_nonzero(positive))
+    # No gap is negative now, so the nonzero ones are the positive ones.
+    emitted = int(np.count_nonzero(gaps))
     summary.zero_gaps_dropped += n - len(names) - emitted
     summary.durations_emitted += emitted
 
@@ -412,12 +421,11 @@ def interevent_durations(
                 out[name] = DurationSample(g)
         return out, summary
 
-    gaps = gaps[positive]
-    del positive
-    if not gaps.size:
+    if not emitted:
         raise ValueError("no positive inter-event durations in input")
+    # Sorted in place, the zero gaps come first; the sample is the rest.
     gaps.sort()
-    return DurationSample(gaps), summary
+    return DurationSample(gaps[gaps.size - emitted :]), summary
 
 
 def split_by_resolution(

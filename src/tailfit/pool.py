@@ -5,6 +5,15 @@ all go through ``run_ranges``. Workers are forked, so they inherit the
 task and everything it refers to (samples, open files, closures) from the
 parent's memory; only the range bounds and each range's result are
 pickled.
+
+Each worker keeps the memory it frees for its next allocations: glibc's
+allocator would otherwise serve every large array with a fresh ``mmap``
+and hand freed heap back to the kernel, so a worker that builds arrays of
+the same size range after range would fault their pages in anew each
+time. Where the C library has ``mallopt`` (glibc), each worker fixes the
+mmap and trim thresholds at ``WORKER_MMAP_THRESHOLD`` and
+``WORKER_TRIM_THRESHOLD`` bytes before its first range. The calling
+process's allocator is never touched.
 """
 from __future__ import annotations
 
@@ -13,6 +22,15 @@ import os
 # Ranges handed to the pool per worker; more than one lets a worker that
 # finishes early take over the work of a slow one.
 RANGES_PER_WORKER = 4
+
+# glibc's mallopt parameters (malloc.h) and the worker values: arrays up to
+# 32 MiB (glibc's largest mmap threshold on 64-bit) come from the heap, and
+# up to twice that of free heap is kept, as glibc's own dynamic threshold
+# would do after freeing a 32 MiB block.
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+WORKER_MMAP_THRESHOLD = 32 << 20
+WORKER_TRIM_THRESHOLD = 64 << 20
 
 
 def _usable_cpus() -> int:
@@ -83,6 +101,22 @@ _worker_task = None
 def _set_worker_task(task) -> None:
     global _worker_task
     _worker_task = task
+    _keep_freed_memory()
+
+
+def _keep_freed_memory() -> None:
+    """Fix this process's malloc mmap and trim thresholds (see the module
+    docstring); nothing where the C library has no ``mallopt``."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, WORKER_MMAP_THRESHOLD)
+    mallopt(M_TRIM_THRESHOLD, WORKER_TRIM_THRESHOLD)
 
 
 def _run_worker_task(bounds: tuple[int, int]):

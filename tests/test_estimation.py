@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import optimize, stats
 from scipy.special import erfc, log_ndtr
@@ -236,6 +236,44 @@ class TestEdf:
         assert ks_distance(np.sort(x), cdf) == want
         assert ks_distance(DurationSample(x), cdf) == want
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 50_000),
+        st.floats(0.5, 3.0),
+        st.sampled_from(["lattice", "all_tied", "top_tied"]),
+        st.floats(-3.0, 0.5),
+    )
+    def test_run_ks_equals_first_version(self, seed, n, sigma, shape, log_step):
+        # Lognormal values floored onto a lattice of step 10**log_step
+        # times their median, all equal, or with a tied top of any size.
+        # Where ties take at least half the points, the cdf sees each run
+        # of equal values once.
+        rng = np.random.default_rng(seed)
+        x = rng.lognormal(3.0, sigma, n)
+        if shape == "lattice":
+            step = float(np.median(x)) * 10.0**log_step
+            x = np.floor(x / step) * step
+            x = x[x > 0]
+            assume(x.size > 0)
+        elif shape == "all_tied":
+            x[:] = x[0]
+        else:
+            x.sort()
+            x[rng.integers(0, n):] = x[-1]
+        model = LognormalModel(3.1, sigma * 1.05)
+        seen = []
+
+        def cdf(t):
+            seen.append(t.size)
+            return model.cdf(t)
+
+        want = reference_ks(x, model.cdf)
+        assert ks_distance(rng.permutation(x), cdf) == want
+        assert ks_distance(DurationSample(x), cdf) == want
+        runs = np.unique(x).size
+        assert seen == [runs if 2 * runs <= x.size else x.size] * 2
+
     def test_ks_does_not_modify_input(self):
         x = np.array([3.0, 1.0, 2.0])
         ks_distance(x, lambda t: t / 3.0)
@@ -456,6 +494,30 @@ class TestLognormalFit:
         assert objectives[0](np.array([mu, log_sigma])) == -want / m
         if mu_hat is not None:
             assert loglik == reference_truncated_lognormal_loglik(y, w, mu_hat, sigma_hat) / m * m
+
+    def test_truncated_objective_allocates_no_tail_sized_array(self):
+        # The objective writes into two buffers made once per fit.
+        m = 100_000
+        y = np.sort(np.random.default_rng(5).normal(3.0, 1.0, m))
+        objectives = []
+
+        def minimize(fun, *args, **kwargs):
+            objectives.append(fun)
+            return optimize.minimize(fun, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimation, "optimize", SimpleNamespace(minimize=minimize))
+            estimation._truncated_lognormal_mle(y, float(y[0]))
+        theta = np.array([3.0, 0.1])
+        want = objectives[0](theta)
+        tracemalloc.start()
+        try:
+            got = objectives[0](theta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 8 * m / 10
 
     def test_degenerate_inputs(self):
         with pytest.raises(DegenerateSampleError):

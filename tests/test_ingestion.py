@@ -6,6 +6,7 @@ import os
 import re
 import struct
 import tempfile
+import tracemalloc
 from array import array
 from contextlib import contextmanager
 from functools import partial
@@ -236,6 +237,38 @@ class TestIntereventDurations:
         _, returned = interevent_durations(parse_events(io.StringIO(CSV)), summary=given)
         assert returned is given
         assert (given.events_read, given.events_dropped) == (7, 0)
+
+    def test_peak_memory_on_grouped_log(self):
+        # 10^6 events of 200 actors, grouped by actor, in batches of
+        # CHUNK_ROWS rows. The stage may hold the columns, 12 bytes an
+        # event (a float64 stamp and an int32 code), and one array of
+        # gaps, 8 bytes an event, and nothing else event-sized. The
+        # columns grow up to 1/16 past their size; that room fits in the
+        # codes column, which is freed before the gaps are taken.
+        n, actors = 10**6, 200
+        rng = np.random.default_rng(19)
+        codes = np.repeat(np.arange(actors, dtype=np.int32), n // actors)
+        stamps = np.cumsum(np.floor(rng.exponential(50.0, n)))  # some gaps 0
+
+        def batches():
+            for lo in range(0, n, ingestion.CHUNK_ROWS):
+                hi = min(n, lo + ingestion.CHUNK_ROWS)
+                first, last = int(codes[lo]), int(codes[hi - 1])
+                yield EventBatch(
+                    stamps[lo:hi], codes[lo:hi] - first,
+                    [f"u{a}" for a in range(first, last + 1)], None, hi - lo, 0,
+                )
+
+        tracemalloc.start()
+        try:
+            sample, summary = interevent_durations(batches())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        gaps = np.diff(stamps.reshape(actors, -1), axis=1)
+        np.testing.assert_array_equal(sample.values, np.sort(gaps[gaps > 0]))
+        assert summary.durations_emitted + summary.zero_gaps_dropped == n - actors
+        assert peak <= (12 + 8) * n
 
     def test_direction_filter(self):
         events = list(parse_events(io.StringIO(CSV)))
