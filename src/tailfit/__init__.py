@@ -18,13 +18,7 @@ from .estimation import (
     fit_powerlaw_tail,
     ks_distance,
 )
-from .ingestion import (
-    EventBatch,
-    IngestSummary,
-    interevent_durations,
-    parse_events,
-    split_by_resolution,
-)
+from .ingestion import EventBatch, IngestSummary, interevent_durations, parse_events
 from .sample import DurationSample
 from .synthesis import (
     GibratProcess,
@@ -69,5 +63,4 @@ __all__ = [
     "sample_exp_of_exponential",
     "sample_lognormal",
     "sample_powerlaw",
-    "split_by_resolution",
 ]

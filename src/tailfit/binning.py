@@ -18,14 +18,12 @@ from .sample import DurationSample
 
 @dataclass(frozen=True)
 class Histogram:
-    """Binned view of a sample: edges (m+1 ascending boundaries), counts
-    (m non-negative integers summing to n) and the binning scheme.
+    """Binned view of a sample: edges (m+1 ascending boundaries) and counts
+    (m non-negative integers summing to n).
     """
 
     edges: np.ndarray
     counts: np.ndarray
-    scheme: str
-    unit: str = "seconds"
 
     def __post_init__(self):
         edges = np.asarray(self.edges, dtype=float)
@@ -87,7 +85,7 @@ def bin_linear(s: DurationSample, m: int) -> Histogram:
     lo, hi = s.x_min, s.x_max
     if hi == lo:
         edges = np.array([lo, lo * (1.0 + 1e-12) if lo > 0 else 1.0])
-        return Histogram(edges, np.array([s.n]), "linear", s.unit)
+        return Histogram(edges, np.array([s.n]))
     try:
         edges = np.linspace(lo, hi, m + 1)
     except (MemoryError, ValueError):
@@ -99,7 +97,7 @@ def bin_linear(s: DurationSample, m: int) -> Histogram:
             f"values in [{lo!r}, {hi!r}] reach the float64 limits: in {m} linear bins, n "
             "times a width, or a density, would be infinite"
         )
-    return Histogram(edges, counts, "linear", s.unit)
+    return Histogram(edges, counts)
 
 
 def bin_log(s: DurationSample, bins_per_decade: int) -> Histogram:
@@ -125,17 +123,16 @@ def bin_log(s: DurationSample, bins_per_decade: int) -> Histogram:
             f"values in [{s.x_min!r}, {s.x_max!r}] reach the float64 limits: their "
             "log bins would have an infinite edge or density, or no width"
         )
-    return Histogram(edges, counts, "log", s.unit)
+    return Histogram(edges, counts)
 
 
-def rescale(s: DurationSample, b: float, unit: str | None = None) -> DurationSample:
+def rescale(s: DurationSample, b: float) -> DurationSample:
     """Multiply every duration by b (change of time unit)."""
-    if b <= 0:
-        raise ValueError("scale factor must be positive")
-    if b == 1.0 and unit is None:
+    if not (b > 0 and math.isfinite(b)):
+        raise ValueError(f"scale factor must be finite and positive, got {b!r}")
+    if b == 1.0:
         return s
-    label = unit if unit is not None else f"{s.unit}*{b:g}"
-    return DurationSample(s.values * b, unit=label, unit_factor=s.unit_factor / b)
+    return DurationSample(s.values * b)
 
 
 def quantize(s: DurationSample, step: float) -> QuantizeResult:
@@ -146,14 +143,14 @@ def quantize(s: DurationSample, step: float) -> QuantizeResult:
     the drop count is surfaced so reports can state how much of the
     small-duration mass was erased.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not (step > 0 and math.isfinite(step)):
+        raise ValueError(f"quantization step must be finite and positive, got {step!r}")
     quantized = np.floor(s.values / step) * step
     kept = quantized[quantized > 0]
     dropped = int(quantized.size - kept.size)
     if kept.size == 0:
         raise ValueError("all values fall below the quantization step")
-    return QuantizeResult(DurationSample(kept, unit=s.unit, unit_factor=s.unit_factor), dropped)
+    return QuantizeResult(DurationSample(kept), dropped)
 
 
 def expected_counts(model, edges, n: int) -> np.ndarray:

@@ -32,6 +32,8 @@ from .sample import DurationSample, _is_sorted
 DEFAULT_MIN_TAIL = 50
 DEFAULT_MAX_CANDIDATES = 1000
 VERDICT_THRESHOLD = 0.1
+# The binned power-law cutoff scan leaves at least this many bins in the tail.
+_MIN_TAIL_BINS = 3
 
 
 class DegenerateSampleError(ValueError):
@@ -269,6 +271,7 @@ def fit_powerlaw_tail(
     x = s.values
     n = x.size
     if xmin is not None:
+        _check_xmin(xmin)
         return _powerlaw_fit_at(x, int(np.searchsorted(x, xmin)), float(xmin), n)
 
     new_run = x[1:] != x[:-1]
@@ -351,6 +354,11 @@ def fit_powerlaw_tail(
     return _powerlaw_report(float(gammas[best]), float(x[i]), n - i, n, best_ks, suffix[i])
 
 
+def _check_xmin(xmin: float) -> None:
+    if not (xmin > 0 and math.isfinite(xmin)):
+        raise ValueError(f"xmin must be finite and positive, got {xmin!r}")
+
+
 def _powerlaw_fit_at(x: np.ndarray, i: int, xmin: float, n: int) -> FitReport:
     tail = x[i:]
     m = tail.size
@@ -384,6 +392,7 @@ def fit_lognormal(s: DurationSample, xmin: float | None = None) -> FitReport:
         loglik = float(np.sum(lognormal_logpdf_of_log(logs, mu, sigma)))
         return FitReport("lognormal", (mu, sigma), None, n, ks, loglik, n)
 
+    _check_xmin(xmin)
     tail = x[int(np.searchsorted(x, xmin)):]
     m = tail.size
     if m < 2:
@@ -605,9 +614,7 @@ def bootstrap_pvalue_binned(
 
     def replicate(rng: np.random.Generator) -> float:
         counts_rep = rng.multinomial(n, probs)
-        return fit_binned(
-            Histogram(edges, counts_rep, h.scheme, h.unit), fit.family, **fit_options
-        ).ks
+        return fit_binned(Histogram(edges, counts_rep), fit.family, **fit_options).ks
 
     return _bootstrap(replicate, fit.ks, reps, g, workers)
 
@@ -657,6 +664,7 @@ def compare_families(
     ``fit_powerlaw_tail(s, xmin=xmin)`` and ``fit_lognormal(s, xmin=xmin)``,
     which are then not computed again.
     """
+    _check_xmin(xmin)
     tail = s.values[int(np.searchsorted(s.values, xmin)):]
     m = tail.size
     if m < 2:
@@ -696,12 +704,7 @@ def verdict(lr: float | None, p: float | None, threshold: float = VERDICT_THRESH
     return "undecided"
 
 
-def fit_binned(
-    h: Histogram,
-    family: str,
-    min_tail: int = DEFAULT_MIN_TAIL,
-    min_tail_bins: int = 3,
-) -> FitReport:
+def fit_binned(h: Histogram, family: str, min_tail: int = DEFAULT_MIN_TAIL) -> FitReport:
     """Multinomial maximum-likelihood fit to binned data.
 
     This is the correct route for provider-quantized samples: the
@@ -717,7 +720,7 @@ def fit_binned(
     if family == "lognormal":
         return _fit_binned_lognormal(edges, counts, n)
     if family == "powerlaw":
-        return _fit_binned_powerlaw(edges, counts, n, min_tail, min_tail_bins)
+        return _fit_binned_powerlaw(edges, counts, n, min_tail)
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -775,11 +778,11 @@ def _binned_ks(model, edges, counts) -> float:
     return _edf_gap(emp_cum, model_cum)[0]
 
 
-def _fit_binned_powerlaw(edges, counts, n, min_tail, min_tail_bins) -> FitReport:
+def _fit_binned_powerlaw(edges, counts, n, min_tail) -> FitReport:
     m_bins = counts.size
     tail_counts = np.concatenate([np.cumsum(counts[::-1])[::-1], [0]])
     best = None
-    for j in range(m_bins - min_tail_bins + 1):
+    for j in range(m_bins - _MIN_TAIL_BINS + 1):
         n_tail = int(tail_counts[j])
         if n_tail < min_tail:
             break

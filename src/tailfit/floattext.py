@@ -31,11 +31,9 @@ import numpy as np
 _U = np.uint64
 _M32 = _U(0xFFFFFFFF)
 _M63 = _U(2**63 - 1)
-# float64: 52 stored significand bits, exponents of the last significand
-# bit from Q_MIN (subnormals) up, and the decimal exponents K_MIN..K_MAX
-# of Schubfach's table of 10**-k.
+# float64: 52 stored significand bits, and the decimal exponents
+# K_MIN..K_MAX of Schubfach's table of 10**-k.
 _C_MIN = 1 << 52
-_Q_MIN = -1074
 _K_MIN, _K_MAX = -324, 292
 # The longest output line: a sign, 17 digits, a point, "e-308" and "\n".
 _WIDTH = 25

@@ -38,9 +38,9 @@ outputs are the same either way.
 
 With more than one worker, large duration texts are formatted and read
 in contiguous ranges by forked processes (``pool.run_ranges``): a regular
-file in byte ranges that end after a newline, the values to format in
-ranges of whole blocks. Every result is put together in input order, so
-it is the same for any worker count.
+file in even byte ranges, each reading the lines that start in it, and
+the values to format in ranges of whole blocks. Every result is put
+together in input order, so it is the same for any worker count.
 """
 from __future__ import annotations
 
@@ -56,7 +56,7 @@ from dataclasses import asdict, dataclass, replace
 from functools import partial
 from itertools import chain, compress, count, islice
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -354,7 +354,6 @@ def _columns(batches, direction, summary):
 def interevent_durations(
     events: Iterable[EventBatch],
     direction: str | None = None,
-    summary: IngestSummary | None = None,
     per_actor: bool = False,
 ):
     """Pool per-actor inter-event durations into one sample.
@@ -363,11 +362,10 @@ def interevent_durations(
     emitted; zero gaps (duplicate timestamps) are dropped and counted.
     Actors with fewer than two events contribute nothing. With
     ``per_actor=True`` a dict actor -> DurationSample is returned instead,
-    actors in first-seen order. The returned summary (``summary`` if given)
-    also holds the row counts of the batches.
+    actors in first-seen order. The returned summary also holds the row
+    counts of the batches.
     """
-    if summary is None:
-        summary = IngestSummary()
+    summary = IngestSummary()
     codes, stamps, names = _columns(events, direction, summary)
     n = codes.size
     summary.actors = len(names)
@@ -409,8 +407,8 @@ def interevent_durations(
     del stamps
     # No gap is negative now, so the nonzero ones are the positive ones.
     emitted = int(np.count_nonzero(gaps))
-    summary.zero_gaps_dropped += n - len(names) - emitted
-    summary.durations_emitted += emitted
+    summary.zero_gaps_dropped = n - len(names) - emitted
+    summary.durations_emitted = emitted
 
     if per_actor:
         out = {}
@@ -428,33 +426,6 @@ def interevent_durations(
     return DurationSample(gaps[gaps.size - emitted :]), summary
 
 
-def split_by_resolution(
-    events: Iterable[EventBatch],
-    predicate: Callable[[EventBatch], np.ndarray],
-) -> dict:
-    """Partition events by a resolution class (e.g. minute-truncated vs
-    second-accurate epochs) and build one pooled sample per class.
-
-    ``predicate`` maps a batch to one label per event, computed from its
-    columns (``timestamps``, ``codes``/``actors``). Classes appear in the
-    order of their first event; empty partitions are omitted.
-    """
-    parts: dict = {}
-    for batch in events:
-        labels = np.asarray(predicate(batch))
-        found, first = np.unique(labels, return_index=True)
-        for label in found[np.argsort(first)].tolist():
-            parts.setdefault(label, []).append(batch.take(labels == label))
-    out = {}
-    for label, batches in parts.items():
-        try:
-            sample, _ = interevent_durations(batches)
-        except ValueError:
-            continue
-        out[label] = sample
-    return out
-
-
 def read_durations_text(stream: TextIO, workers: int = 1) -> DurationSample:
     """One decimal duration per line.
 
@@ -462,8 +433,8 @@ def read_durations_text(stream: TextIO, workers: int = 1) -> DurationSample:
     ``BLOCK_BYTES`` that end just after a newline byte; a block of
     ``digits[.digits]`` lines is read by ``floattext.decimal_values``, any
     other block line by line with ``float``. With ``workers`` > 1, a large
-    file is read in byte ranges by forked workers. The sample is the same
-    either way.
+    file is cut into even byte ranges, read by forked workers; each range
+    reads the lines that start in it. The sample is the same either way.
     """
     file = _regular_file(stream)
     if file is None:
@@ -471,9 +442,13 @@ def read_durations_text(stream: TextIO, workers: int = 1) -> DurationSample:
         bad = _read_lines(stream, values)
         values = np.frombuffer(values, dtype=float)
     else:
+        fd, size = file
+
         def read_range(lo: int, hi: int) -> tuple[np.ndarray, int]:
+            # A line starts at 0 or just after a newline byte.
+            lo, hi = (_after_newline(fd, pos - 1, size) if pos else 0 for pos in (lo, hi))
             parts, bad = [], 0
-            for block in _line_blocks(file[0], lo, hi):
+            for block in _line_blocks(fd, lo, hi):
                 part = _decimal_lines(block)
                 if part is None:
                     lines = array("d")
@@ -482,7 +457,8 @@ def read_durations_text(stream: TextIO, workers: int = 1) -> DurationSample:
                 parts.append(part)
             return _joined(parts), bad
 
-        ranges = _line_ranges(stream, workers) or [(0, file[1])]
+        workers = usable_workers(workers) if size >= POOL_MIN_BYTES else 1
+        ranges = even_ranges(size, workers * RANGES_PER_WORKER if workers > 1 else 1)
         parts = list(run_ranges(read_range, ranges, workers))
         bad = sum(part_bad for _, part_bad in parts)
         values = _joined([part for part, _ in parts])
@@ -589,28 +565,6 @@ def _regular_file(stream) -> tuple[int, int] | None:
     return fd, info.st_size
 
 
-def _line_ranges(stream, workers: int) -> list[tuple[int, int]] | None:
-    """About ``workers`` x ``RANGES_PER_WORKER`` byte ranges that cover the
-    regular file under ``stream``, each but the last ending just after a
-    newline byte; or None when the text is to be read from ``stream`` in
-    this process. That is so for one usable worker, a stream that
-    ``_regular_file`` does not take, and a file under ``POOL_MIN_BYTES``.
-    """
-    workers = usable_workers(workers)
-    file = _regular_file(stream) if workers > 1 else None
-    if file is None or file[1] < POOL_MIN_BYTES:
-        return None
-    fd, size = file
-    parts = workers * RANGES_PER_WORKER
-    bounds = [0]
-    for i in range(1, parts):
-        cut = _after_newline(fd, size * i // parts, size)
-        if bounds[-1] < cut < size:
-            bounds.append(cut)
-    bounds.append(size)
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
 def _ascii_compatible(encoding) -> bool:
     """Whether every byte below 0x80 always stands for that ASCII
     character, so that a file can be cut after any newline byte."""
@@ -661,14 +615,20 @@ def _decoded(stream, data: bytes) -> TextIO:
 
 def read_durations_binary(stream) -> DurationSample:
     """Binary column format: magic TFD1, u64-LE count, count f64-LE values."""
-    magic = stream.read(4)
-    if magic != BINARY_MAGIC:
+    header = stream.read(12)
+    if header[:4] != BINARY_MAGIC:
         raise ValueError("bad magic; not a TFD1 duration file")
-    (count,) = struct.unpack("<Q", stream.read(8))
-    values = np.frombuffer(stream.read(8 * count), dtype="<f8")
-    if values.size != count:
+    if len(header) < 12:
         raise ValueError("truncated TFD1 duration file")
-    return DurationSample(np.sort(values.astype(float)))
+    (count,) = struct.unpack_from("<Q", header, 4)
+    size = 8 * count
+    # A block at a time, so that a corrupt count sizes no allocation.
+    data = bytearray()
+    while len(data) < size and (block := stream.read(min(size - len(data), BLOCK_BYTES))):
+        data += block
+    if len(data) < size:
+        raise ValueError("truncated TFD1 duration file")
+    return DurationSample(np.frombuffer(data, dtype="<f8"))
 
 
 def write_durations_binary(s: DurationSample, stream) -> None:

@@ -1,4 +1,4 @@
-"""Duration samples: sorted positive inter-event times with a time unit."""
+"""Duration samples: sorted positive inter-event times."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -8,15 +8,10 @@ import numpy as np
 
 @dataclass(frozen=True)
 class DurationSample:
-    """A sorted array of strictly positive durations.
-
-    ``unit`` is a label, ``unit_factor`` converts one unit to seconds
-    (1.0 for seconds, 60.0 for minutes, ...).
-    """
+    """A sorted array of strictly positive durations; unsorted input is
+    sorted."""
 
     values: np.ndarray
-    unit: str = "seconds"
-    unit_factor: float = 1.0
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -30,8 +25,6 @@ class DurationSample:
             values = np.sort(values)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        if self.unit_factor <= 0:
-            raise ValueError("unit_factor must be positive")
 
     def __len__(self) -> int:
         return self.values.size

@@ -11,23 +11,16 @@ import numpy as np
 from .distributions import LognormalModel, PowerLawModel
 from .sample import DurationSample
 
-# Engine pinned per release so seeded fixtures stay stable.
-ALGORITHM_ID = "pcg64"
-
 
 @dataclass(frozen=True)
 class SeededGenerator:
-    """Deterministic random source: same (seed, parameters, n) gives a
-    bit-identical sample sequence. Substreams derived from (seed, index)
-    are independent, for parallel or repeated use.
+    """Deterministic random source on numpy's PCG64: same (seed,
+    parameters, n) gives a bit-identical sample sequence. Substreams
+    derived from (seed, index) are independent, for parallel or repeated
+    use.
     """
 
     seed: int
-    algorithm_id: str = ALGORITHM_ID
-
-    def __post_init__(self):
-        if self.algorithm_id != ALGORITHM_ID:
-            raise ValueError(f"unknown algorithm id {self.algorithm_id!r}")
 
     def rng(self) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(self.seed))
@@ -43,8 +36,7 @@ class SeededGenerator:
 @dataclass(frozen=True)
 class GibratProcess:
     """Multiplicative growth S_t = a_t * S_{t-1} with log-factors
-    xi_t = ln a_t drawn i.i.d. (normal by default; any sampler with
-    finite variance may be plugged in).
+    xi_t = ln a_t drawn i.i.d. from N(xi_mean, xi_std**2).
     """
 
     s0: float
@@ -52,7 +44,6 @@ class GibratProcess:
     agents: int
     xi_mean: float = 0.0
     xi_std: float = 1.0
-    xi_sampler: object = None  # callable(rng, size) -> log-factors
 
     def __post_init__(self):
         if self.s0 <= 0:
@@ -67,9 +58,9 @@ def sample_lognormal(m: LognormalModel, n: int, g: SeededGenerator) -> DurationS
     """n i.i.d. draws of exp(N(mu, sigma**2))."""
     if n < 1:
         raise ValueError("sample size must be at least 1")
-    rng = g.rng()
-    values = np.exp(rng.normal(m.mu, m.sigma, size=n))
-    return DurationSample(np.sort(values))
+    with np.errstate(over="ignore"):
+        values = np.exp(g.rng().normal(m.mu, m.sigma, size=n))
+    return DurationSample(_in_range(values, m))
 
 
 def sample_powerlaw(m: PowerLawModel, n: int, g: SeededGenerator) -> DurationSample:
@@ -79,8 +70,9 @@ def sample_powerlaw(m: PowerLawModel, n: int, g: SeededGenerator) -> DurationSam
     """
     if n < 1:
         raise ValueError("sample size must be at least 1")
-    values = m.quantile(g.rng().random(n))
-    return DurationSample(np.sort(values))
+    with np.errstate(over="ignore"):
+        values = m.quantile(g.rng().random(n))
+    return DurationSample(_in_range(values, m))
 
 
 def sample_exp_of_exponential(
@@ -97,10 +89,10 @@ def sample_exp_of_exponential(
         raise ValueError("tau must be positive")
     if n < 1:
         raise ValueError("sample size must be at least 1")
-    rng = g.rng()
-    y = rng.exponential(scale=1.0 / (gamma - 1.0), size=n)
-    values = tau * np.exp(y)
-    return DurationSample(np.sort(values))
+    y = g.rng().exponential(scale=1.0 / (gamma - 1.0), size=n)
+    with np.errstate(over="ignore"):
+        values = tau * np.exp(y)
+    return DurationSample(_in_range(values, f"exp-of-exponential(gamma={gamma!r}, tau={tau!r})"))
 
 
 def run_gibrat(p: GibratProcess, g: SeededGenerator) -> np.ndarray:
@@ -110,13 +102,19 @@ def run_gibrat(p: GibratProcess, g: SeededGenerator) -> np.ndarray:
     Sizes are accumulated in log-space, so ln S_t is exactly
     ln S_0 + sum of the log-factors.
     """
-    rng = g.rng()
-    if p.xi_sampler is not None:
-        xi = np.asarray(p.xi_sampler(rng, (p.agents, p.steps)), dtype=float)
-    else:
-        xi = rng.normal(p.xi_mean, p.xi_std, size=(p.agents, p.steps))
+    xi = g.rng().normal(p.xi_mean, p.xi_std, size=(p.agents, p.steps))
     log_sizes = np.empty((p.agents, p.steps + 1))
     log_sizes[:, 0] = np.log(p.s0)
-    np.cumsum(xi, axis=1, out=log_sizes[:, 1:])
-    log_sizes[:, 1:] += np.log(p.s0)
-    return np.exp(log_sizes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.cumsum(xi, axis=1, out=log_sizes[:, 1:])
+        log_sizes[:, 1:] += np.log(p.s0)
+        sizes = np.exp(log_sizes)
+    return _in_range(sizes, p)
+
+
+def _in_range(values: np.ndarray, model) -> np.ndarray:
+    """``values``, or a ValueError naming ``model`` and its parameters if one
+    of them overflowed float64 or underflowed to 0."""
+    if not (np.isfinite(values).all() and values.min() > 0):
+        raise ValueError(f"draws of {model} pass the largest float64 or round to 0")
+    return values

@@ -41,13 +41,13 @@ class TestHistogram:
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
-            Histogram(np.array([1.0]), np.array([]), "linear")
+            Histogram(np.array([1.0]), np.array([]))
         with pytest.raises(ValueError):
-            Histogram(np.array([2.0, 1.0]), np.array([1]), "linear")
+            Histogram(np.array([2.0, 1.0]), np.array([1]))
         with pytest.raises(ValueError):
-            Histogram(np.array([1.0, 2.0]), np.array([-1]), "linear")
+            Histogram(np.array([1.0, 2.0]), np.array([-1]))
         with pytest.raises(ValueError):
-            Histogram(np.array([1.0, 2.0, 3.0]), np.array([1]), "linear")
+            Histogram(np.array([1.0, 2.0, 3.0]), np.array([1]))
 
     def test_csv_roundtrip_shape(self):
         h = bin_linear(small_sample(), 3)
@@ -101,10 +101,8 @@ class TestBinLog:
 class TestRescale:
     def test_values_scaled(self):
         s = small_sample()
-        r = rescale(s, 1.0 / 60.0, unit="minutes")
+        r = rescale(s, 1.0 / 60.0)
         np.testing.assert_allclose(r.values, s.values / 60.0, rtol=1e-15)
-        assert r.unit == "minutes"
-        assert r.unit_factor == pytest.approx(60.0)
 
     def test_identity(self):
         s = small_sample()

@@ -2,6 +2,7 @@
 schema and seeded reproducibility.
 """
 import json
+import struct
 import warnings
 
 import numpy as np
@@ -129,6 +130,27 @@ class TestSimulate:
         )
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            (["powerlaw", "--gamma", "1.0000001"], "gamma=1.0000001"),
+            (["lognormal", "--sigma", "1000"], "sigma=1000.0"),
+            (["expexp", "--gamma", "1.0000001"], "gamma=1.0000001"),
+            (["gibrat", "--xi-std", "1000", "--steps", "5", "--agents", "2"], "xi_std=1000.0"),
+        ],
+    )
+    def test_draws_past_float64_name_the_parameters(self, tmp_path, capsys, args, named):
+        # These once printed a numpy RuntimeWarning and then "non-finite
+        # durations"; gibrat wrote inf sizes and exited 0.
+        out = tmp_path / "out.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(["simulate", *args, "--seed", "1", "--output", str(out)], capsys)
+        assert code == 1
+        assert err.startswith("error: invalid-input: ") and err.count("\n") == 1
+        assert named in err
+        assert not out.exists()
 
 
 class TestBin:
@@ -283,6 +305,50 @@ class TestFit:
             f"error: degenerate-data: the fitted {family} tail passes the largest float64 in "
             "about 100 of 100 bootstrap replicates; it is too heavy to bootstrap\n"
         )
+
+    @pytest.mark.parametrize(
+        "command, option, value, name",
+        [
+            ("fit", "--xmin", "0", "xmin"),
+            ("fit", "--xmin", "-5", "xmin"),
+            ("fit", "--xmin", "nan", "xmin"),
+            ("fit", "--xmin", "inf", "xmin"),
+            ("compare", "--xmin", "nan", "xmin"),
+            ("fit", "--quantize", "inf", "quantization step"),
+            ("fit", "--quantize", "nan", "quantization step"),
+            ("fit", "--rescale", "nan", "scale factor"),
+            ("fit", "--rescale", "inf", "scale factor"),
+            # Finite and above every value: a valid cutoff that leaves no tail.
+            ("fit", "--xmin", "1e308", None),
+        ],
+    )
+    def test_invalid_cutoff_step_or_factor(self, tmp_path, capsys, command, option, value, name):
+        sample = self.make_sample(tmp_path, capsys, n=500)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run([command, "--input", str(sample), option, value], capsys)
+        if name is None:
+            err = "degenerate-data: no values at or above the requested cutoff"
+            assert got == (2, "", f"error: {err}\n")
+        else:
+            err = f"invalid-input: {name} must be finite and positive, got {float(value)!r}"
+            assert got == (1, "", f"error: {err}\n")
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"TFD1",
+            b"TFD1\x02\x00\x00",  # a count cut short
+            b"TFD1" + struct.pack("<Q", 2**63),
+            # A count one past the values the file holds.
+            b"TFD1" + struct.pack("<Q", 3) + struct.pack("<2d", 1.0, 2.0),
+        ],
+    )
+    def test_malformed_binary_header_is_truncated(self, tmp_path, capsys, data):
+        path = tmp_path / "x.bin"
+        path.write_bytes(data)
+        got = run(["fit", "--input", str(path)], capsys)
+        assert got == (1, "", "error: invalid-input: truncated TFD1 duration file\n")
 
     def test_quantize_reports_dropped(self, tmp_path, capsys):
         sample = self.make_sample(tmp_path, capsys, kind="lognormal")

@@ -637,7 +637,7 @@ class TestBootstrapWorkers:
         edges = np.exp(np.linspace(0.0, 8.0, 25))
         probs = np.diff(PowerLawModel(1.8, 1.0).cdf(edges))
         counts = SeededGenerator(164).rng().multinomial(2_000, probs / probs.sum())
-        h = Histogram(edges, counts, "log")
+        h = Histogram(edges, counts)
         fit = fit_binned(h, "powerlaw")
         self.by_workers(lambda w: bootstrap_pvalue_binned(
             h, fit, self.REPS, SeededGenerator(165), workers=w
@@ -774,7 +774,7 @@ class TestBinnedFit:
         probs = np.diff(model.cdf(edges))
         probs = probs / probs.sum()
         counts = SeededGenerator(seed).rng().multinomial(n, probs)
-        return Histogram(edges, counts, "log")
+        return Histogram(edges, counts)
 
     def test_lognormal_recovery(self):
         edges = np.exp(np.linspace(-4.0, 10.0, 71))
@@ -839,12 +839,12 @@ class TestBinnedFit:
         )
 
     def test_needs_three_nonempty_bins(self):
-        h = Histogram(np.array([1.0, 2.0, 4.0]), np.array([10, 20]), "log")
+        h = Histogram(np.array([1.0, 2.0, 4.0]), np.array([10, 20]))
         with pytest.raises(DegenerateSampleError):
             fit_binned(h, "lognormal")
 
     def test_unknown_family(self):
-        h = Histogram(np.array([1.0, 2.0, 4.0, 8.0]), np.array([1, 2, 3]), "log")
+        h = Histogram(np.array([1.0, 2.0, 4.0, 8.0]), np.array([1, 2, 3]))
         with pytest.raises(ValueError):
             fit_binned(h, "weibull")
 

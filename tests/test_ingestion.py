@@ -16,16 +16,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tailfit import (
-    DurationSample,
-    IngestSummary,
-    interevent_durations,
-    parse_events,
-    split_by_resolution,
-)
+from tailfit import DurationSample, IngestSummary, interevent_durations, parse_events
 from tailfit import floattext, ingestion, pool
 from tailfit.ingestion import (
     EventBatch,
@@ -108,20 +102,6 @@ def reference_interevent_durations(events, direction, summary, per_actor):
     if not pooled:
         raise ValueError("no positive inter-event durations in input")
     return DurationSample(np.sort(np.concatenate(pooled))), summary
-
-
-def reference_split_by_resolution(events, label_of):
-    buckets = {}
-    for ev in events:
-        buckets.setdefault(label_of(ev.timestamp), []).append(ev)
-    out = {}
-    for label, evs in buckets.items():
-        try:
-            sample, _ = reference_interevent_durations(evs, None, IngestSummary(), False)
-        except ValueError:
-            continue
-        out[label] = sample
-    return out
 
 
 def reference_read_durations_text(stream):
@@ -230,13 +210,8 @@ class TestIntereventDurations:
         assert summary.actors == 3
 
     def test_parse_counts_reach_the_returned_summary(self):
-        _, summary = interevent_durations(parse_events(io.StringIO(CSV)))
-        assert summary.events_read == 7
-        # A summary given to interevent_durations counts each row once.
-        given = IngestSummary()
-        _, returned = interevent_durations(parse_events(io.StringIO(CSV)), summary=given)
-        assert returned is given
-        assert (given.events_read, given.events_dropped) == (7, 0)
+        _, summary = interevent_durations(parse_events(io.StringIO(CSV + "dave\n")))
+        assert (summary.events_read, summary.events_dropped) == (8, 1)
 
     def test_peak_memory_on_grouped_log(self):
         # 10^6 events of 200 actors, grouped by actor, in batches of
@@ -353,23 +328,6 @@ class TestIntereventDurations:
             assert comparable(got) == comparable(want)
 
 
-class TestSplitByResolution:
-    def test_partition(self):
-        events = parse_events(io.StringIO("actor,timestamp\na,60\na,120\na,180\nb,1.5\nb,2.25\n"))
-        out = split_by_resolution(
-            events,
-            lambda b: np.where(b.timestamps == np.floor(b.timestamps), "minute", "second"),
-        )
-        assert set(out) == {"minute", "second"}
-        np.testing.assert_array_equal(out["minute"].values, [60.0, 60.0])
-        np.testing.assert_array_equal(out["second"].values, [0.75])
-
-    def test_empty_partitions_omitted(self):
-        events = parse_events(io.StringIO("actor,timestamp\na,1\n"))
-        out = split_by_resolution(events, lambda b: np.full(b.timestamps.size, "only"))
-        assert out == {}
-
-
 STAMPS = ["nan", "inf", "-3", "1_000", " 12 ", "", "x", "-0", "1e3", "2.5", "0"] + [
     str(k) for k in range(8)
 ]
@@ -439,10 +397,6 @@ def duration_lines(draw):
     return lines
 
 
-def integral(t):
-    return "minute" if t == int(t) else "second"
-
-
 class TestColumnarMatchesPerRow:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -461,32 +415,12 @@ class TestColumnarMatchesPerRow:
                     ref_summary,
                     per_actor,
                 )
-                # A summary given to interevent_durations, and its default.
-                given = IngestSummary()
-                got_given = outcome(
+                got = outcome(
                     lambda: interevent_durations(
-                        parse_events(io.StringIO(text)), direction, given, per_actor
+                        parse_events(io.StringIO(text)), direction, per_actor
                     )
                 )
-                got_default = outcome(
-                    lambda: interevent_durations(
-                        parse_events(io.StringIO(text)), direction, per_actor=per_actor
-                    )
-                )
-                assert comparable(got_given) == comparable(expected)
-                assert comparable(got_default) == comparable(expected)
-                assert given.to_dict() == ref_summary.to_dict()
-
-            want = reference_split_by_resolution(
-                reference_parse_events(io.StringIO(text), IngestSummary()), integral
-            )
-            got = split_by_resolution(
-                parse_events(io.StringIO(text)),
-                lambda b: np.where(b.timestamps == np.floor(b.timestamps), "minute", "second"),
-            )
-            assert list(got) == list(want)
-            for label, s in want.items():
-                assert got[label].values.tobytes() == s.values.tobytes()
+                assert comparable(got) == comparable(expected)
 
     @settings(max_examples=200, deadline=None)
     @given(duration_lines(), st.integers(1, 6))
@@ -602,14 +536,10 @@ class TestWorkerRanges:
             with open_stream() as fh:
                 got = [outcome(lambda: exact_events(parse_events(fh)))]
             for per_actor in (False, True):
-                given = IngestSummary()
                 with open_stream() as fh:
                     got.append(comparable(outcome(
-                        lambda: interevent_durations(
-                            parse_events(fh), direction, given, per_actor
-                        )
+                        lambda: interevent_durations(parse_events(fh), direction, per_actor)
                     )))
-                got.append(given.to_dict())
             return got
 
         with mock.patch.multiple(ingestion, CHUNK_ROWS=chunk, BLOCK_BYTES=block):
@@ -618,33 +548,10 @@ class TestWorkerRanges:
         assert blocks == serial
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        st.sampled_from([PLAIN_ACTORS, QUOTED_ACTORS]).flatmap(event_logs),
-        LINE_ENDS,
-        st.booleans(),
-    )
-    def test_ranges_split_after_newlines(self, text, end, trailing):
-        data = with_line_ends(text, end, trailing)
-
-        def run(path):
-            with open(path, encoding="utf-8") as fh:
-                return ingestion._line_ranges(fh, 3)
-
-        with self.small_pool(1):
-            ranges = on_disk(data, run)
-        if not data:
-            assert ranges is None
-            return
-        assert ranges[0][0] == 0 and ranges[-1][1] == len(data)
-        assert len(ranges) <= 3 * pool.RANGES_PER_WORKER
-        for (lo, hi), (next_lo, _) in zip(ranges, ranges[1:]):
-            assert lo < hi == next_lo
-            assert data[hi - 1 : hi] == b"\n"
-        if b"\n" not in data[:-1]:
-            assert len(ranges) == 1
-
-    @settings(max_examples=40, deadline=None)
     @given(duration_lines(), st.integers(1, 6), LINE_ENDS, st.booleans())
+    # Lines longer than a whole range (12 ranges of about 18 bytes), so that
+    # the ranges they cross own no line.
+    @example(["1.5", " " * 100 + "7", "2.25", "3" * 80], 1, "\n", True)
     def test_read_and_write_match_serial(self, lines, chunk, end, trailing):
         data = with_line_ends("".join(f"{line}\n" for line in lines), end, trailing)
 
@@ -677,12 +584,42 @@ class TestWorkerRanges:
         assert written[1] == written[0]
         assert written[2] == written[0]
 
+    @contextmanager
+    def pool_sizes(self):
+        """The number of workers each read_durations_text call in the block
+        starts in a pool (1 for none): the worker count it passes to
+        run_ranges, capped as run_ranges caps it."""
+        sizes = []
+
+        def spy(task, ranges, workers):
+            sizes.append(min(pool.usable_workers(workers), len(ranges)))
+            return run_ranges(task, ranges, workers)
+
+        run_ranges = ingestion.run_ranges
+        with mock.patch.object(ingestion, "run_ranges", spy):
+            yield sizes
+
     def test_other_encodings_take_one_range(self, tmp_path):
         path = tmp_path / "durations.txt"
         path.write_text("1.5\n" * 50, encoding="utf-16")
-        with self.small_pool(1), open(path, encoding="utf-16") as fh:
-            assert ingestion._line_ranges(fh, 3) is None
+        with self.small_pool(1), self.pool_sizes() as sizes:
+            with open(path, encoding="utf-16") as fh:
+                assert read_durations_text(fh, 3).n == 50
+            assert sizes in ([], [1])
+            # The same lines in UTF-8 do go to the pool.
+            path.write_text("1.5\n" * 50, encoding="utf-8")
+            with open(path, encoding="utf-8") as fh:
+                assert read_durations_text(fh, 3).n == 50
+            assert sizes[-1] == 3
+
+    def test_stream_takes_one_range(self):
+        # A pipe has a file descriptor, but no size and no positions.
+        read_fd, write_fd = os.pipe()
+        with open(write_fd, "w") as fh:
+            fh.write("1.5\n" * 50)
+        with self.small_pool(1), self.pool_sizes() as sizes, open(read_fd) as fh:
             assert read_durations_text(fh, 3).n == 50
+        assert sizes in ([], [1])
 
     def test_malformed_lines_counted_over_all_ranges(self, tmp_path):
         # The first ranges hold only malformed lines, the file fewer of
@@ -720,8 +657,14 @@ class TestWorkerRanges:
     def test_small_file_takes_one_range(self, tmp_path):
         path = tmp_path / "durations.txt"
         path.write_text("1.5\n" * 50)
-        with mock.patch.object(pool, "_usable_cpus", lambda: 3), open(path) as fh:
-            assert ingestion._line_ranges(fh, 3) is None
+        with mock.patch.object(pool, "_usable_cpus", lambda: 3), self.pool_sizes() as sizes:
+            with open(path) as fh:
+                assert read_durations_text(fh, 3).n == 50
+            assert sizes == [1]
+            with mock.patch.object(ingestion, "POOL_MIN_BYTES", path.stat().st_size):
+                with open(path) as fh:
+                    assert read_durations_text(fh, 3).n == 50
+            assert sizes[-1] == 3
 
     def big_csv(self, tmp_path, bad_line: bytes) -> str:
         """A log whose bad line lies in one of its later blocks."""

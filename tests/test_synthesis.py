@@ -1,7 +1,6 @@
 """Seeded-generation behavior: determinism, distributional correctness,
 and the multiplicative growth process.
 """
-import math
 
 import numpy as np
 import pytest
@@ -41,10 +40,6 @@ class TestSeededGenerator:
     def test_substream_differs_from_main_stream(self):
         g = SeededGenerator(7)
         assert not np.array_equal(g.rng().random(10), g.substream(0).random(10))
-
-    def test_unknown_algorithm_rejected(self):
-        with pytest.raises(ValueError):
-            SeededGenerator(1, algorithm_id="mt19937")
 
 
 class TestSamplers:
@@ -111,14 +106,6 @@ class TestGibrat:
         final_logs = np.log(sizes[:, -1])
         _, pval = stats.kstest(final_logs, "norm", args=(4.0, 2.0))
         assert pval > 0.01
-
-    def test_custom_sampler(self):
-        def xi_sampler(rng, size):
-            return np.full(size, 0.5)
-
-        p = GibratProcess(s0=1.0, steps=4, agents=2, xi_sampler=xi_sampler)
-        sizes = run_gibrat(p, SeededGenerator(0))
-        np.testing.assert_allclose(sizes[:, -1], math.exp(2.0), rtol=1e-12)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
