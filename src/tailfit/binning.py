@@ -132,6 +132,12 @@ def rescale(s: DurationSample, b: float) -> DurationSample:
         raise ValueError(f"scale factor must be finite and positive, got {b!r}")
     if b == 1.0:
         return s
+    # The values are sorted, so the extremes bound every product.
+    if not (s.x_min * b > 0 and math.isfinite(s.x_max * b)):
+        raise ValueError(
+            f"scale factor {b!r} takes durations in [{s.x_min!r}, {s.x_max!r}] outside "
+            "the positive float64 range"
+        )
     return DurationSample(s.values * b)
 
 
@@ -145,6 +151,11 @@ def quantize(s: DurationSample, step: float) -> QuantizeResult:
     """
     if not (step > 0 and math.isfinite(step)):
         raise ValueError(f"quantization step must be finite and positive, got {step!r}")
+    if not math.isfinite(s.x_max / step):
+        raise ValueError(
+            f"quantization step {step!r} divides durations in [{s.x_min!r}, {s.x_max!r}] "
+            "past the largest float64"
+        )
     quantized = np.floor(s.values / step) * step
     kept = quantized[quantized > 0]
     dropped = int(quantized.size - kept.size)

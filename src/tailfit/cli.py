@@ -187,8 +187,8 @@ def _write_json(obj, path: str) -> None:
 
 def cmd_ingest(args) -> int:
     with open(args.events) as fh:
-        events = ingestion.parse_events(fh)
-        sample, summary = ingestion.interevent_durations(events, direction=args.direction)
+        events = ingestion.parse_events(fh, args.direction)
+        sample, summary = ingestion.interevent_durations(events)
     ingestion.check_malformed_fraction(summary)
     _write_sample(sample, args.output, args.format, args.threads)
     if args.summary:
@@ -327,7 +327,10 @@ def cmd_report(args) -> int:
     for path in args.inputs:
         with open(path) as fh:
             obj = json.load(fh)
-        if not isinstance(obj, dict) or "dist" not in obj or "n" not in obj:
+        # A verdict is read from LR and LR_p, so each is a number or null.
+        if not isinstance(obj, dict) or "dist" not in obj or "n" not in obj or not all(
+            v is None or type(v) in (int, float) for v in (obj.get("LR"), obj.get("LR_p"))
+        ):
             skipped.append(path)
             continue
         rows.append(obj)

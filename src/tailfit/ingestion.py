@@ -4,25 +4,25 @@ samples.
 An event CSV that is a regular file is read in blocks of about
 ``BLOCK_BYTES`` that end just after a newline byte, and a block of plain
 rows becomes one ``EventBatch``, parsed by numpy alone: the newline and
-comma offsets give the fields, actors and directions are numbered as
-fixed-width byte keys, and ``digits[.digits]`` timestamps are read by
+comma offsets give the fields, actors are numbered as fixed-width byte
+keys, and ``digits[.digits]`` timestamps are read by
 ``floattext.decimal_values`` exactly as ``float`` reads them. Any other
-block, the rest of a file from its first
-``"`` on, and any other stream are read by ``csv.reader`` in chunks of
-``CHUNK_ROWS`` rows, a batch per chunk. A batch holds columns: the
-accepted timestamps, actor codes into the batch's own actor names, and
-the direction column if there is one, with its counts of rows read and
-dropped; ``interevent_durations`` adds them up and is the one stage that
-fills an ``IngestSummary``. It keeps every accepted timestamp once, as
-two columns of 12 bytes per event (a float64 timestamp and an int32
-actor code, actors numbered in first-seen order), plus one batch, so
-memory still grows with the number of events. It then takes every
-actor's gaps at once: one stable sort by actor (a radix sort of 16-bit
-codes when the actors allow; none when the log is grouped by actor
-already), one diff, a mask at the actor boundaries, and one sort of the
-gaps in place, whose zero gaps then form a prefix that the sample leaves
-out; only when some actor's stamps are out of file order are
-they sorted within each actor.
+block, the rest of a file from its first ``"`` on, and any other stream
+are read by ``csv.reader`` in chunks of ``CHUNK_ROWS`` rows, a batch per
+chunk. Either parser applies the direction filter as it parses the rows.
+A batch holds columns, the accepted timestamps of the requested
+direction and actor codes into the batch's own actor names, with its
+counts of rows read and of malformed rows dropped, of any direction;
+``interevent_durations`` adds them up and is the one stage that fills
+an ``IngestSummary``. It keeps every accepted timestamp once, as two
+columns of 12 bytes per event (a float64 timestamp and an int32 actor
+code, actors numbered in first-seen order), plus one batch, so memory
+still grows with the number of events. It then takes every actor's gaps
+at once: one stable sort by actor (a radix sort of 16-bit codes when the
+actors allow; none when the log is grouped by actor already), one diff,
+a mask at the actor boundaries, and one sort of the gaps in place, whose
+zero gaps then form a prefix that the sample leaves out; only when some
+actor's stamps are out of file order are they sorted within each actor.
 
 Duration text holds one value per line as ``repr`` writes it. It is
 written in blocks of ``CHUNK_ROWS`` values, each laid out by
@@ -52,7 +52,7 @@ import os
 import stat
 import struct
 from array import array
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import chain, compress, count, islice
 from operator import itemgetter
@@ -94,37 +94,30 @@ class EventBatch:
     """The accepted events of a block or chunk of CSV rows, as columns.
 
     ``codes[i]`` indexes ``actors``, the batch's actor names in first-seen
-    order. ``directions`` is an object array (a row too short for the
-    column has None), or None when the log has no direction column.
-    ``rows`` counts the batch's rows and ``dropped`` those not accepted.
+    order. ``rows`` counts the batch's rows, of any direction, and
+    ``dropped`` the malformed ones among them.
     """
 
     timestamps: np.ndarray  # float64
     codes: np.ndarray  # int32
     actors: list[str]
-    directions: np.ndarray | None
     rows: int
     dropped: int
 
-    def take(self, mask: np.ndarray) -> "EventBatch":
-        """The events where ``mask`` is True; ``actors`` is kept whole."""
-        return replace(
-            self,
-            timestamps=self.timestamps[mask],
-            codes=self.codes[mask],
-            directions=None if self.directions is None else self.directions[mask],
-        )
 
-
-def parse_events(stream: TextIO) -> Iterator[EventBatch]:
+def parse_events(stream: TextIO, direction: str | None = None) -> Iterator[EventBatch]:
     """Stream EventBatches from CSV with header ``actor,timestamp[,direction]``.
 
     A row is dropped when it is too short, its timestamp does not parse
     with ``float`` or is not finite or is negative, or its actor is empty.
     Dropped rows are counted in their batch; ingestion only fails
     afterwards (see ``check_malformed_fraction``) if more than half the
-    lines were bad. Every batch is yielded, even one with no accepted
-    events, so that its counts reach ``interevent_durations``.
+    lines were bad. With ``direction``, only the events whose direction
+    field is that string are kept: none of a log without the column, nor
+    of a row too short to have it. Rows of other directions are still
+    counted, and so are the malformed ones among them. Every batch is
+    yielded, even one with no kept events, so that its counts reach
+    ``interevent_durations``.
 
     A regular file read from its start, in an encoding in which every
     byte below 0x80 is that ASCII character, is read in blocks of about
@@ -145,19 +138,19 @@ def parse_events(stream: TextIO) -> Iterator[EventBatch]:
         # Not a file, or a header the block parser does not read: the
         # stream is still where it was given.
         reader = csv.reader(stream)
-        yield from _parse_rows(reader, _layout(next(reader, None)))
+        yield from _parse_rows(reader, _layout(next(reader, None)), direction)
         return
     layout = _layout(next(csv.reader([header.decode("ascii")]), None))
     for block in chain([first[cut:]], blocks):
         if b'"' in block:
             lines = chain.from_iterable(map(partial(_decoded, stream), chain([block], blocks)))
-            yield from _parse_rows(csv.reader(lines), layout)
+            yield from _parse_rows(csv.reader(lines), layout, direction)
             return
-        batch = _block_batch(block, *layout)
+        batch = _block_batch(block, *layout, direction)
         if batch is not None:
             yield batch
         else:
-            yield from _parse_rows(csv.reader(_decoded(stream, block)), layout)
+            yield from _parse_rows(csv.reader(_decoded(stream, block)), layout, direction)
 
 
 def _layout(header) -> tuple[int, int, int, int | None]:
@@ -172,7 +165,7 @@ def _layout(header) -> tuple[int, int, int, int | None]:
     return len(columns), columns.index("actor"), columns.index("timestamp"), i_dir
 
 
-def _parse_rows(reader, layout) -> Iterator[EventBatch]:
+def _parse_rows(reader, layout, direction) -> Iterator[EventBatch]:
     """A batch per ``CHUNK_ROWS`` rows of ``reader``."""
     _, i_actor, i_ts, i_dir = layout
     while True:
@@ -182,7 +175,7 @@ def _parse_rows(reader, layout) -> Iterator[EventBatch]:
         gc.disable()
         try:
             rows = list(islice(reader, CHUNK_ROWS))
-            batch = _parse_chunk(rows, i_actor, i_ts, i_dir) if rows else None
+            batch = _parse_chunk(rows, i_actor, i_ts, i_dir, direction) if rows else None
         finally:
             if enabled:
                 gc.enable()
@@ -191,8 +184,8 @@ def _parse_rows(reader, layout) -> Iterator[EventBatch]:
         yield batch
 
 
-def _parse_chunk(rows, i_actor, i_ts, i_dir) -> EventBatch:
-    """The accepted rows of one chunk, as columns."""
+def _parse_chunk(rows, i_actor, i_ts, i_dir, direction) -> EventBatch:
+    """The accepted rows of one chunk, of ``direction`` if given, as columns."""
     n_rows = len(rows)
     try:
         actors = list(map(itemgetter(i_actor), rows))
@@ -213,22 +206,20 @@ def _parse_chunk(rows, i_actor, i_ts, i_dir) -> EventBatch:
         stamps = np.array(values, dtype=np.float64)
     named = np.fromiter(map(bool, actors), bool, len(actors))
     keep = np.isfinite(stamps) & (stamps >= 0) & named
+    dropped = n_rows - int(np.count_nonzero(keep))
+    if direction is not None:
+        keep &= i_dir is not None and np.fromiter(
+            (len(row) > i_dir and row[i_dir] == direction for row in rows), bool, len(rows)
+        )
     if not keep.all():
-        selected = keep.tolist()
-        rows = list(compress(rows, selected))
-        actors = list(compress(actors, selected))
+        actors = list(compress(actors, keep.tolist()))
         stamps = stamps[keep]
     # Each actor maps to the row of its first occurrence; ranking those
     # rows numbers the actors 0, 1, ... in first-seen order.
     first_row: dict[str, int] = {}
     occurrence = np.fromiter(map(first_row.setdefault, actors, count()), np.int64, len(actors))
     codes = np.unique(occurrence, return_inverse=True)[1].astype(np.int32)
-    directions = None
-    if i_dir is not None:
-        directions = np.array(
-            [row[i_dir] if len(row) > i_dir else None for row in rows], dtype=object
-        )
-    return EventBatch(stamps, codes, list(first_row), directions, n_rows, n_rows - stamps.size)
+    return EventBatch(stamps, codes, list(first_row), n_rows, dropped)
 
 
 def _plain(data: bytes) -> bool:
@@ -236,14 +227,14 @@ def _plain(data: bytes) -> bool:
     return bool(data) and data.isascii() and b"\0" not in data and b'"' not in data
 
 
-def _block_batch(block: bytes, n_fields, i_actor, i_ts, i_dir) -> EventBatch | None:
-    """The rows of ``block`` (whole lines) as one batch, parsed by numpy
-    alone; or None, declining the block, unless it is ASCII without a NUL,
-    a ``"`` or a CR outside a CRLF, and every row has the header's field
-    count, no field longer than ``csv.field_size_limit()``, and a
-    ``digits[.digits]`` timestamp that ``floattext.decimal_values`` reads
-    as ``float`` does. Actors and directions are numbered in first-seen
-    order as fixed-width byte keys.
+def _block_batch(block: bytes, n_fields, i_actor, i_ts, i_dir, direction) -> EventBatch | None:
+    """The rows of ``block`` (whole lines) of ``direction`` (if not None)
+    as one batch, parsed by numpy alone; or None, declining the block,
+    unless it is ASCII without a NUL, a ``"`` or a CR outside a CRLF, and
+    every row has the header's field count, no field longer than
+    ``csv.field_size_limit()``, and a ``digits[.digits]`` timestamp that
+    ``floattext.decimal_values`` reads as ``float`` does. Actors are
+    numbered in first-seen order as fixed-width byte keys.
     """
     if not _plain(block):
         return None
@@ -281,21 +272,28 @@ def _block_batch(block: bytes, n_fields, i_actor, i_ts, i_dir) -> EventBatch | N
     stamps = decimal_values(raw, starts[i_ts], widths[i_ts])
     if stamps is None:
         return None
-    keys = [_field_keys(raw, starts[i], widths[i]) for i in (i_actor, i_dir) if i is not None]
-    if any(k is None for k in keys):
+    keys = _field_keys(raw, starts[i_actor], widths[i_actor])
+    if keys is None:
         return None
     keep = widths[i_actor] > 0
+    dropped = n - int(np.count_nonzero(keep))
+    if direction is not None:
+        keep &= i_dir is not None and _fields_equal(raw, starts[i_dir], widths[i_dir], direction)
     if not keep.all():
-        stamps = stamps[keep]
-        keys = [k[keep] for k in keys]
-    codes, first = _first_seen(keys[0])
-    names = [name.decode("ascii") for name in keys[0][first].tolist()]
-    directions = None
-    if i_dir is not None:
-        dir_codes, dir_first = _first_seen(keys[1])
-        values = [value.decode("ascii") for value in keys[1][dir_first].tolist()]
-        directions = np.array(values, dtype=object)[dir_codes]
-    return EventBatch(stamps, codes, names, directions, n, n - stamps.size)
+        stamps, keys = stamps[keep], keys[keep]
+    codes, first = _first_seen(keys)
+    names = [name.decode("ascii") for name in keys[first].tolist()]
+    return EventBatch(stamps, codes, names, n, dropped)
+
+
+def _fields_equal(raw, starts, widths, value: str) -> np.ndarray:
+    """Whether each field is ``value``, compared by width and character.
+    A plain block holds no NUL and no byte outside ASCII, so no field
+    equals a value with either."""
+    if not value.isascii() or "\0" in value:
+        return np.zeros(starts.size, bool)
+    chars = np.frombuffer(value.encode("ascii"), np.uint8)[:, None]
+    return (widths == chars.size) & (field_chars(raw, starts, widths, chars.size) == chars).all(0)
 
 
 def _field_keys(raw, starts, widths) -> np.ndarray | None:
@@ -325,8 +323,8 @@ def check_malformed_fraction(summary: IngestSummary) -> None:
         )
 
 
-def _columns(batches, direction, summary):
-    """Every kept event as global actor codes (first-seen order) and
+def _columns(batches, summary):
+    """Every event as global actor codes (first-seen order) and
     timestamps, and the actor names. Adds each batch's row counts into
     ``summary``."""
     stamps, codes = array("d"), array("i")
@@ -334,10 +332,6 @@ def _columns(batches, direction, summary):
     for batch in batches:
         summary.events_read += batch.rows
         summary.events_dropped += batch.dropped
-        if direction is not None:
-            if batch.directions is None:
-                continue
-            batch = batch.take(batch.directions == direction)
         present, first = np.unique(batch.codes, return_index=True)
         to_global = np.empty(len(batch.actors), np.int32)
         for code in present[np.argsort(first)].tolist():
@@ -351,22 +345,16 @@ def _columns(batches, direction, summary):
     )
 
 
-def interevent_durations(
-    events: Iterable[EventBatch],
-    direction: str | None = None,
-    per_actor: bool = False,
-):
+def interevent_durations(events: Iterable[EventBatch]) -> tuple[DurationSample, IngestSummary]:
     """Pool per-actor inter-event durations into one sample.
 
     Per actor, timestamps are sorted ascending and successive differences
     emitted; zero gaps (duplicate timestamps) are dropped and counted.
-    Actors with fewer than two events contribute nothing. With
-    ``per_actor=True`` a dict actor -> DurationSample is returned instead,
-    actors in first-seen order. The returned summary also holds the row
-    counts of the batches.
+    Actors with fewer than two events contribute nothing. The returned
+    summary also holds the row counts of the batches.
     """
     summary = IngestSummary()
-    codes, stamps, names = _columns(events, direction, summary)
+    codes, stamps, names = _columns(events, summary)
     n = codes.size
     summary.actors = len(names)
     # bincount casts the codes it counts to int64, so they go a block at a
@@ -409,16 +397,6 @@ def interevent_durations(
     emitted = int(np.count_nonzero(gaps))
     summary.zero_gaps_dropped = n - len(names) - emitted
     summary.durations_emitted = emitted
-
-    if per_actor:
-        out = {}
-        for name, lo, hi in zip(names, (ends - sizes).tolist(), ends.tolist()):
-            g = gaps[lo : hi - 1]
-            g = g[g > 0]
-            if g.size:
-                out[name] = DurationSample(g)
-        return out, summary
-
     if not emitted:
         raise ValueError("no positive inter-event durations in input")
     # Sorted in place, the zero gaps come first; the sample is the rest.

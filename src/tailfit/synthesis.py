@@ -52,6 +52,10 @@ class GibratProcess:
             raise ValueError("need at least one step")
         if self.agents < 1:
             raise ValueError("need at least one agent")
+        if not np.isfinite(self.xi_mean):
+            raise ValueError(f"xi_mean must be finite, got {self.xi_mean!r}")
+        if not (np.isfinite(self.xi_std) and self.xi_std >= 0):
+            raise ValueError(f"xi_std must be finite and non-negative, got {self.xi_std!r}")
 
 
 def sample_lognormal(m: LognormalModel, n: int, g: SeededGenerator) -> DurationSample:

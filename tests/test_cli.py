@@ -132,6 +132,17 @@ class TestSimulate:
         assert "error:" in err
 
     @pytest.mark.parametrize(
+        "option, value, named",
+        [("--xi-std", "-1", "xi_std"), ("--xi-std", "nan", "xi_std"),
+         ("--xi-mean", "inf", "xi_mean")],
+    )
+    def test_invalid_gibrat_factors_are_named(self, capsys, option, value, named):
+        # --xi-std -1 once exited with numpy's own "scale < 0".
+        code, out, err = run(["simulate", "gibrat", option, value, "--seed", "1"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: invalid-input: {named} ")
+
+    @pytest.mark.parametrize(
         "args, named",
         [
             (["powerlaw", "--gamma", "1.0000001"], "gamma=1.0000001"),
@@ -287,6 +298,32 @@ class TestFit:
         code, _, err = run(["fit", "--input", str(path), "--dist", "powerlaw"], capsys)
         assert code == 2
         assert "degenerate" in err
+
+    @pytest.mark.parametrize(
+        "command, option, value, scale, message",
+        [
+            ("fit", "--rescale", "1e300", 5e8, "scale factor 1e+300 takes durations in"),
+            ("bin", "--rescale", "1e300", 5e8, "scale factor 1e+300 takes durations in"),
+            ("fit", "--quantize", "1e-310", 5e8, "quantization step 1e-310 divides durations in"),
+            ("fit", "--rescale", "1e-300", 1e-304, "scale factor 1e-300 takes durations in"),
+        ],
+        ids=["fit-rescale-up", "bin-rescale-up", "fit-quantize", "fit-rescale-down"],
+    )
+    def test_step_or_factor_past_float64_is_invalid_input(
+        self, tmp_path, capsys, command, option, value, scale, message
+    ):
+        # These once printed numpy's overflow RuntimeWarning and then "non-finite
+        # durations", or "durations must be strictly positive", naming no option.
+        values = scale * np.exp(np.random.default_rng(3).normal(0.0, 0.3, 500))
+        path = tmp_path / "sample.txt"
+        path.write_text("".join(f"{v!r}\n" for v in values.tolist()))
+        options = ["--bins", "5"] if command == "bin" else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run([command, "--input", str(path), option, value, *options], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: invalid-input: {message} [") and err.count("\n") == 1
+        assert "RuntimeWarning" not in err
 
     @pytest.mark.parametrize("dist", ["both", "powerlaw", "lognormal"])
     def test_bootstrap_of_a_tail_past_float_max_is_degenerate(self, tmp_path, capsys, dist):
@@ -489,6 +526,24 @@ class TestReport:
         code, out, _ = run(["report", str(row), "--format", "csv"], capsys)
         assert code == 0
         assert out.strip().split("\n")[1].split(",")[-1] == "undecided"
+
+    def test_rows_with_non_numeric_lr_are_schema_mismatch(self, tmp_path, capsys):
+        # Either row once ended report with a TypeError traceback.
+        rows = [{"dist": "x", "n": 5, "LR": 1.0, "LR_p": "0.01"},
+                {"dist": "x", "n": 5, "LR": "a", "LR_p": 0.01},
+                {"dist": "x", "n": 5, "LR": True, "LR_p": 0.01}]
+        paths = []
+        for k, row in enumerate(rows):
+            paths.append(tmp_path / f"bad{k}.json")
+            paths[-1].write_text(json.dumps(row))
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({"dist": "x", "n": 5, "LR": -3.0, "LR_p": 0.01}))
+        code, out, err = run(["report", *map(str, paths), str(good), "--format", "csv"], capsys)
+        assert code == 0
+        assert err == "".join(f"error: schema-mismatch: {path}\n" for path in paths)
+        assert out.strip().split("\n")[1].split(",")[-1] == "lognormal"
+        code, out, err = run(["report", *map(str, paths)], capsys)
+        assert (code, out) == (1, "") and err.endswith("error: no-valid-inputs\n")
 
     def test_schema_mismatch_reported(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

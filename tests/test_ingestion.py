@@ -75,7 +75,7 @@ def reference_parse_events(stream, summary):
         yield Event(actor, timestamp, direction)
 
 
-def reference_interevent_durations(events, direction, summary, per_actor):
+def reference_interevent_durations(events, direction, summary):
     by_actor = {}
     for ev in events:
         if direction is not None and ev.direction != direction:
@@ -91,13 +91,6 @@ def reference_interevent_durations(events, direction, summary, per_actor):
         summary.durations_emitted += int(positive.size)
         return positive
 
-    if per_actor:
-        out = {}
-        for actor, ts in by_actor.items():
-            g = gaps(ts)
-            if g.size:
-                out[actor] = DurationSample(g)
-        return out, summary
     pooled = [g for g in (gaps(ts) for ts in by_actor.values()) if g.size]
     if not pooled:
         raise ValueError("no positive inter-event durations in input")
@@ -136,28 +129,27 @@ def outcome(fn, *args):
 
 
 def comparable(result):
-    """A pipeline outcome with its samples as bytes, so that == compares
-    them bit for bit (and a per-actor dict's key order too)."""
+    """A pipeline outcome with its sample as bytes, so that == compares
+    it bit for bit."""
     if isinstance(result[0], type):
         return result
-    samples, summary = result
-    if isinstance(samples, dict):
-        return [(k, v.values.tobytes()) for k, v in samples.items()], summary.to_dict()
-    return samples.values.tobytes(), summary.to_dict()
+    sample, summary = result
+    return sample.values.tobytes(), summary.to_dict()
 
 
 def events_of(batches):
-    """(actor, timestamp, direction) of every event, in file order."""
+    """(actor, timestamp) of every event, in file order."""
     return [
-        (b.actors[c], t, None if b.directions is None else b.directions[i])
-        for b in batches
-        for i, (c, t) in enumerate(zip(b.codes.tolist(), b.timestamps.tolist()))
+        (b.actors[c], t) for b in batches for c, t in zip(b.codes.tolist(), b.timestamps.tolist())
     ]
 
 
 def exact_events(batches):
-    """events_of with each timestamp as its eight bytes."""
-    return [(a, struct.pack("<d", t), d) for a, t, d in events_of(batches)]
+    """events_of with each timestamp as its eight bytes, and the batches'
+    counts of rows read and dropped."""
+    batches = list(batches)
+    counts = sum(b.rows for b in batches), sum(b.dropped for b in batches)
+    return [(a, struct.pack("<d", t)) for a, t in events_of(batches)], counts
 
 
 class TestParseEvents:
@@ -166,12 +158,15 @@ class TestParseEvents:
         assert sum(b.codes.size for b in batches) == 7
         b = batches[0]
         assert b.timestamps.dtype == np.float64 and b.codes.dtype == np.int32
-        assert events_of(batches)[0] == ("alice", 100.0, "outbound")
+        assert events_of(batches)[0] == ("alice", 100.0)
 
     def test_optional_direction_column(self):
-        batches = list(parse_events(io.StringIO("actor,timestamp\nx,1\nx,2\n")))
-        assert batches[0].directions is None
-        assert events_of(batches)[0][2] is None
+        text = "actor,timestamp\nx,1\nx,2\n"
+        assert events_of(parse_events(io.StringIO(text))) == [("x", 1.0), ("x", 2.0)]
+        # A log without the column holds no event of a direction; its rows
+        # are still counted.
+        batches = list(parse_events(io.StringIO(text), "outbound"))
+        assert events_of(batches) == [] and batches[0].rows == 2
 
     def test_malformed_lines_counted_and_skipped(self):
         text = "actor,timestamp\nx,1\nx,notanumber\n,5\nx,-3\nx,2\n"
@@ -231,7 +226,7 @@ class TestIntereventDurations:
                 first, last = int(codes[lo]), int(codes[hi - 1])
                 yield EventBatch(
                     stamps[lo:hi], codes[lo:hi] - first,
-                    [f"u{a}" for a in range(first, last + 1)], None, hi - lo, 0,
+                    [f"u{a}" for a in range(first, last + 1)], hi - lo, 0,
                 )
 
         tracemalloc.start()
@@ -246,32 +241,29 @@ class TestIntereventDurations:
         assert peak <= (12 + 8) * n
 
     def test_direction_filter(self):
-        events = list(parse_events(io.StringIO(CSV)))
-        sample, _ = interevent_durations(events, direction="outbound")
+        sample, summary = interevent_durations(parse_events(io.StringIO(CSV), "outbound"))
         # alice outbound: 100,160,400 -> gaps 60, 240; bob: 3.
         np.testing.assert_array_equal(sample.values, [3.0, 60.0, 240.0])
+        # Rows of any direction are read; none is malformed.
+        assert (summary.events_read, summary.events_dropped) == (7, 0)
 
     def test_unsorted_timestamps_are_sorted_per_actor(self):
         events = parse_events(io.StringIO("actor,timestamp\na,50\na,10\na,30\n"))
         sample, _ = interevent_durations(events)
         np.testing.assert_array_equal(sample.values, [20.0, 20.0])
 
-    def test_per_actor(self):
-        events = list(parse_events(io.StringIO(CSV)))
-        by_actor, _ = interevent_durations(events, per_actor=True)
-        assert set(by_actor) == {"alice", "bob"}
-        np.testing.assert_array_equal(by_actor["bob"].values, [3.0])
-
-    def test_per_actor_keys_in_first_seen_order_of_kept_events(self):
-        # In its chunk, b's first event precedes a's first outbound one.
+    def test_actors_in_first_seen_order_of_kept_events(self, tmp_path):
+        # b's first event precedes a's first outbound one, in the numpy
+        # block parser (a file) and in csv.reader's chunks (a stream). The
+        # malformed row, of another direction, is counted all the same.
         text = "actor,timestamp,direction\na,1,inbound\nb,1,outbound\na,2,outbound\n"
-        text += "b,3,outbound\na,5,outbound\n"
-        by_actor, summary = interevent_durations(
-            parse_events(io.StringIO(text)), direction="outbound", per_actor=True
-        )
-        assert list(by_actor) == ["b", "a"]
-        np.testing.assert_array_equal(by_actor["a"].values, [3.0])
-        assert summary.actors == 2
+        text += "b,3,outbound\na,5,outbound\n,7,inbound\n"
+        path = tmp_path / "events.csv"
+        path.write_text(text)
+        with open(path) as fh:
+            from_file = list(parse_events(fh, "outbound"))
+        for batches in (from_file, list(parse_events(io.StringIO(text), "outbound"))):
+            assert [(b.actors, b.rows, b.dropped) for b in batches] == [(["b", "a"], 6, 1)]
 
     def test_no_durations_raises(self):
         with pytest.raises(ValueError):
@@ -294,16 +286,15 @@ class TestIntereventDurations:
             stamps = np.cumsum(stamps)
         names = [f"u{k}" for k in range(actors)]
         events = [Event(names[c], t, None) for c, t in zip(codes.tolist(), stamps.tolist())]
-        for per_actor in (False, True):
-            want = reference_interevent_durations(events, None, IngestSummary(n), per_actor)
-            batch = EventBatch(stamps, codes, names, None, n, 0)
-            with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort, \
-                    mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
-                got = interevent_durations([batch], per_actor=per_actor)
-            keys = [c.args[0] for c in argsort.call_args_list if c.kwargs.get("kind") == "stable"]
-            assert [k.dtype for k in keys] == [key_dtype]
-            assert lexsort.call_count == lexsorts
-            assert comparable(got) == comparable(want)
+        want = reference_interevent_durations(events, None, IngestSummary(n))
+        batch = EventBatch(stamps, codes, names, n, 0)
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort, \
+                mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+            got = interevent_durations([batch])
+        keys = [c.args[0] for c in argsort.call_args_list if c.kwargs.get("kind") == "stable"]
+        assert [k.dtype for k in keys] == [key_dtype]
+        assert lexsort.call_count == lexsorts
+        assert comparable(got) == comparable(want)
 
 
     @pytest.mark.parametrize("actors", [1, 300, 70000])
@@ -317,15 +308,14 @@ class TestIntereventDurations:
         stamps = np.cumsum(np.round(rng.exponential(1.0, n), 1))
         names = [f"u{k}" for k in range(actors)]
         events = [Event(names[c], t, None) for c, t in zip(codes.tolist(), stamps.tolist())]
-        for per_actor in (False, True):
-            want = reference_interevent_durations(events, None, IngestSummary(n), per_actor)
-            batch = EventBatch(stamps, codes, names, None, n, 0)
-            with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort, \
-                    mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
-                got = interevent_durations([batch], per_actor=per_actor)
-            assert [c for c in argsort.call_args_list if c.kwargs.get("kind") == "stable"] == []
-            assert lexsort.call_count == 0
-            assert comparable(got) == comparable(want)
+        want = reference_interevent_durations(events, None, IngestSummary(n))
+        batch = EventBatch(stamps, codes, names, n, 0)
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort, \
+                mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+            got = interevent_durations([batch])
+        assert [c for c in argsort.call_args_list if c.kwargs.get("kind") == "stable"] == []
+        assert lexsort.call_count == 0
+        assert comparable(got) == comparable(want)
 
 
 STAMPS = ["nan", "inf", "-3", "1_000", " 12 ", "", "x", "-0", "1e3", "2.5", "0"] + [
@@ -345,7 +335,11 @@ DIGIT_STAMPS = [s for s in STAMPS if s.replace(".", "", 1).isdigit()]
 ACTORS = ["", "a", "b", "c,d", 'q"r', " e", "é"]
 PLAIN_ACTORS = ["", "a", "b", " e", "é"]  # none is quoted in CSV
 QUOTED_ACTORS = ACTORS + ["m\nn"]  # a newline in a quoted field
-DIRECTIONS = ["outbound", "inbound", ""]
+# Field values, and the values a filter asks for: their widths, case,
+# a trailing NUL (which numpy's fixed-width byte keys ignore) or a
+# character outside ASCII must tell them apart.
+DIRECTIONS = ["outbound", "inbound", "", "Outbound", "outbound ", "ø"]
+WANTED = [None, "outbound", "inbound", "", "outbound\0", "outbound ", "Outbound", "ø"]
 
 
 @st.composite
@@ -399,28 +393,18 @@ def duration_lines(draw):
 
 class TestColumnarMatchesPerRow:
     @settings(max_examples=300, deadline=None)
-    @given(
-        event_logs(),
-        st.sampled_from([None, "outbound", "inbound"]),
-        st.integers(1, 6),
-    )
-    def test_same_sample_per_actor_and_summary(self, text, direction, chunk):
+    @given(event_logs(), st.sampled_from(WANTED), st.integers(1, 6))
+    def test_same_sample_and_summary(self, text, direction, chunk):
+        ref_summary = IngestSummary()
+        expected = outcome(
+            reference_interevent_durations,
+            reference_parse_events(io.StringIO(text), ref_summary),
+            direction,
+            ref_summary,
+        )
         with mock.patch.object(ingestion, "CHUNK_ROWS", chunk):
-            for per_actor in (False, True):
-                ref_summary = IngestSummary()
-                expected = outcome(
-                    reference_interevent_durations,
-                    reference_parse_events(io.StringIO(text), ref_summary),
-                    direction,
-                    ref_summary,
-                    per_actor,
-                )
-                got = outcome(
-                    lambda: interevent_durations(
-                        parse_events(io.StringIO(text)), direction, per_actor
-                    )
-                )
-                assert comparable(got) == comparable(expected)
+            got = outcome(lambda: interevent_durations(parse_events(io.StringIO(text), direction)))
+        assert comparable(got) == comparable(expected)
 
     @settings(max_examples=200, deadline=None)
     @given(duration_lines(), st.integers(1, 6))
@@ -520,12 +504,18 @@ class TestWorkerRanges:
             st.sampled_from([PLAIN_ACTORS, QUOTED_ACTORS]),
             st.sampled_from([STAMPS, DIGIT_STAMPS]),
         ).flatmap(lambda kinds: event_logs(*kinds)),
-        st.sampled_from([None, "outbound"]),
+        st.sampled_from(WANTED),
         st.integers(1, 6),
         st.integers(8, 64),
         LINE_ENDS,
         st.booleans(),
     )
+    # numpy's "S" keys compare equal without their trailing NULs; a field
+    # that only starts with the value is another one.
+    @example("actor,timestamp,direction\na,1,outbound\na,2,outbound\n", "outbound\0", 1, 64,
+             "\n", True)
+    @example("actor,timestamp,direction\na,1,outbound \na,2,outbound \n", "outbound", 1, 64,
+             "\n", True)
     def test_parse_matches_serial(self, text, direction, chunk, block, end, trailing):
         # Blocks of a few dozen bytes: lines straddle the cuts, and blocks
         # the numpy parser takes mix with blocks it declines.
@@ -534,12 +524,11 @@ class TestWorkerRanges:
 
         def run(open_stream):
             with open_stream() as fh:
-                got = [outcome(lambda: exact_events(parse_events(fh)))]
-            for per_actor in (False, True):
-                with open_stream() as fh:
-                    got.append(comparable(outcome(
-                        lambda: interevent_durations(parse_events(fh), direction, per_actor)
-                    )))
+                got = [outcome(lambda: exact_events(parse_events(fh, direction)))]
+            with open_stream() as fh:
+                got.append(comparable(outcome(
+                    lambda: interevent_durations(parse_events(fh, direction))
+                )))
             return got
 
         with mock.patch.multiple(ingestion, CHUNK_ROWS=chunk, BLOCK_BYTES=block):
@@ -704,8 +693,7 @@ class TestWorkerRanges:
                 batches = list(parse_events(stream))
             except csv.Error as exc:
                 return type(exc)
-            per_actor = interevent_durations(batches, per_actor=True)
-            return exact_events(batches), comparable(per_actor)
+            return exact_events(batches), comparable(interevent_durations(batches))
 
         with mock.patch.object(ingestion, "BLOCK_BYTES", 16), open(path) as fh:
             assert parse(fh) == parse(io.StringIO(universal))
