@@ -3,10 +3,16 @@ family discrimination for duration samples.
 
 Power-law tails are fitted with the closed-form exponent estimate and a
 KS scan over candidate cutoffs; lognormals with the closed-form log-moment
-estimate (or a truncated-likelihood optimizer above a cutoff). Bootstrap
-p-values use the semi-parametric scheme: synthetic tails from the fitted
-model, synthetic bodies resampled from the empirical data below the cutoff;
-their replicates can run in forked worker processes without changing p.
+estimate, or above a cutoff by Newton's method on the truncated
+likelihood, which is concave in the natural parameters and needs only the
+tail's size, mean and mean square; a fit the Newton decrement does not
+certify raises FitConvergenceError. Bootstrap p-values use the
+semi-parametric scheme: synthetic tails from the fitted model, synthetic
+bodies resampled from the empirical data below the cutoff; their
+replicates can run in forked worker processes without changing p.
+
+scipy.optimize is imported only by the binned fits and the EDF
+diagnostic, when they run; no command-line path calls them.
 """
 from __future__ import annotations
 
@@ -15,11 +21,11 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy import optimize
-from scipy.special import erfc, ndtr, ndtri_exp
+from scipy.special import erfc, log_ndtr, ndtr, ndtri_exp
 
 from .binning import Histogram
 from .distributions import (
+    _LOG_SQRT_2PI,
     LognormalModel,
     PowerLawModel,
     lognormal_logpdf_of_log,
@@ -41,7 +47,8 @@ class DegenerateSampleError(ValueError):
 
 
 class FitConvergenceError(RuntimeError):
-    """Numerical optimizer failed to converge; message carries diagnostics."""
+    """A fit did not converge, or could not be certified to have; the
+    message carries diagnostics."""
 
 
 @dataclass(frozen=True)
@@ -420,62 +427,252 @@ def _log_moments(x: np.ndarray) -> tuple[np.ndarray, float, float]:
     return logs, mu, sigma
 
 
-# Upper bound on sigma in the truncated fit. On data that is genuinely
-# power-law the truncated-lognormal likelihood has no interior maximum
-# (it keeps rising along a mu -> -inf, sigma -> inf ridge that mimics the
-# power-law ever better), so the parameter space is clipped. The cap sits
-# well above any sigma observed for human duration data (<= ~3.5) while
-# keeping the mimic distinguishable from a true power-law tail.
+# Bounds on the truncated fit. On data that is genuinely power-law the
+# truncated-lognormal likelihood has no interior maximum (it keeps rising
+# along a mu -> -inf, sigma -> inf ridge that mimics the power-law ever
+# better), so sigma is capped. The cap sits well above any sigma observed
+# for human duration data (<= ~3.5) while keeping the mimic
+# distinguishable from a true power-law tail. mu is kept within
+# [w - 5 SIGMA_MAX**2, max(ln x) + 10], w the log-cutoff.
 SIGMA_MAX = 5.0
+SIGMA_MIN = 1e-6
+
+# The truncated fit stops when the Newton decrement certifies the point:
+# the gain its quadratic model predicts for the mean log-likelihood, in
+# units of the tail's own log spread, is at most NEWTON_TOL. Failing that
+# within NEWTON_MAX_STEPS steps raises FitConvergenceError. Steps whose
+# predicted gain is above _DAMPED_GAIN are backtracked until they gain a
+# quarter of their first-order prediction; smaller ones are taken whole,
+# as rounding would swamp the comparison.
+NEWTON_TOL = 1e-20
+NEWTON_MAX_STEPS = 50
+_DAMPED_GAIN = 1e-12
+# From this cutoff z-score on, the truncated moments come from _CF_TERMS
+# terms of Laplace's continued fraction, where the recursion from the
+# inverse Mills ratio would lose digits to cancellation.
+_CF_FROM = 2.0
+_CF_TERMS = 100
 
 
 def _truncated_lognormal_mle(y: np.ndarray, w: float) -> tuple[float, float, float]:
-    sd = float(np.std(y))
-    if sd == 0:
+    """(mu, sigma, log-likelihood) of the lognormal truncated to [e^w, inf)
+    that is most likely for the log-values ``y``, within the bounds above.
+
+    One pass over y takes its sufficient statistics; the fit works on
+    those alone, in O(1) a step. The log-likelihood is evaluated once,
+    elementwise, at the result.
+    """
+    mu, sigma = _truncated_lognormal_newton(w, _tail_statistics(y))
+    log_sf = lognormal_logsf_of_log(w, mu, sigma)
+    return mu, sigma, float(np.sum(lognormal_logpdf_of_log(y, mu, sigma)) - y.size * log_sf)
+
+
+def _tail_statistics(y: np.ndarray) -> tuple[float, float, float, float, float]:
+    """(origin, top, mean, shift, sd): the smallest and largest of y, the
+    mean of y - origin, the mean that rounding leaves of the deviations
+    from it, and their root mean square. Taken about the smallest value,
+    so that rounding stays relative to the spread, not to y.
+    """
+    origin, top = float(np.min(y)), float(np.max(y))
+    if origin == top:
         raise DegenerateSampleError("tail has no spread")
-    mu0 = float(np.mean(y))
-    sigma0 = min(max(sd, 1e-6), SIGMA_MAX)
+    dev = y - origin
+    mean = float(np.mean(dev))
+    dev -= mean
+    shift = float(np.mean(dev))
+    np.square(dev, out=dev)
+    sd = math.sqrt(float(np.mean(dev)))
+    if sd < SIGMA_MIN:
+        raise DegenerateSampleError(
+            f"the tail's log spread {sd:.3g} is below the smallest sigma fitted ({SIGMA_MIN:g})"
+        )
+    return origin, top, mean, shift, sd
 
-    m = y.size
-    # Every evaluation writes the log-densities into the same two buffers.
-    work = np.empty(m), np.empty(m)
 
-    def negloglik(theta):
-        mu, log_sigma = theta
-        sigma = math.exp(log_sigma)
-        # Tail log-likelihood: the log-densities less m times log Sf(w).
-        log_sf = lognormal_logsf_of_log(w, mu, sigma)
-        loglik = np.sum(lognormal_logpdf_of_log(y, mu, sigma, out=work)) - m * log_sf
-        # Mean (not sum) keeps the objective O(1) for the line search.
-        return -float(loglik) / m
+def _truncated_lognormal_newton(w: float, stats) -> tuple[float, float]:
+    """(mu, sigma) of ``_truncated_lognormal_mle`` from the tail's
+    ``_tail_statistics`` alone, by Newton steps within the bounds.
 
-    mu_lo = w - 5.0 * SIGMA_MAX**2
-    mu_hi = float(np.max(y)) + 10.0
-    bounds = [(mu_lo, mu_hi), (math.log(1e-6), math.log(SIGMA_MAX))]
-    res = optimize.minimize(
-        negloglik,
-        x0=np.array([mu0, math.log(sigma0)]),
-        method="L-BFGS-B",
-        bounds=bounds,
-        options={"maxiter": 500, "ftol": 1e-12},
+    In units u = (y - origin - mean) / sd the tail has mean u1 = shift / sd
+    and mean square 1, and the log-likelihood is concave in the natural
+    parameters eta = (nu / tau**2, -1 / (2 tau**2)) of the normal N(nu,
+    tau**2) truncated to [wz, inf) (see ``_truncated_normal_terms``). Each
+    bound is a line in eta: sigma's fix eta2, and mu >= b reads
+    eta1 + 2 b' eta2 >= 0, b' being b in u units. Each step minimizes the
+    quadratic model within the bounds exactly (``_bounded_newton_step``);
+    the gain it predicts is half the square of the Newton decrement.
+    """
+    origin, top, mean, shift, sd = stats
+
+    def standard(v):
+        return ((v - origin) - mean) / sd
+
+    mu_lo, mu_hi = w - 5.0 * SIGMA_MAX**2, top + 10.0
+    wz, u1 = standard(w), shift / sd
+    nu_lo, nu_hi = standard(mu_lo), standard(mu_hi)
+    tau_lo, tau_hi = SIGMA_MIN / sd, SIGMA_MAX / sd
+    e2_lo, e2_hi = -0.5 / tau_lo**2, -0.5 / tau_hi**2
+
+    def clip(e1, e2):
+        """The nearest point within the bounds, for steps that rounding
+        takes an ulp past one."""
+        e2 = min(max(e2, e2_lo), e2_hi)
+        return min(max(e1, -2.0 * nu_lo * e2), -2.0 * nu_hi * e2), e2
+
+    def cone(sign, b):
+        """sign * (eta1 + 2 b eta2) <= 0 as a unit row."""
+        norm = math.hypot(1.0, 2.0 * b)
+        return sign / norm, sign * 2.0 * b / norm
+
+    # The bounds as rows . eta <= rhs: sigma <= SIGMA_MAX, sigma >= SIGMA_MIN,
+    # mu >= mu_lo, mu <= mu_hi.
+    rows = [(0.0, 1.0), (0.0, -1.0), cone(-1.0, nu_lo), cone(1.0, nu_hi)]
+    rhs = [e2_hi, -e2_lo, 0.0, 0.0]
+    tau = min(1.0, tau_hi)  # the tail's own spread; tau_lo <= 1 by _tail_statistics
+    eta = clip(u1 / tau**2, -0.5 / tau**2)
+    held = frozenset()  # the bounds the last step moved onto or along
+    for step in range(NEWTON_MAX_STEPS + 1):
+        f, g, h = _truncated_normal_terms(*eta, wz, u1)
+        slack = [
+            0.0 if i in held else max(r - c[0] * eta[0] - c[1] * eta[1], 0.0)
+            for i, (c, r) in enumerate(zip(rows, rhs))
+        ]
+        gain, p, active = _bounded_newton_step(g, h, rows, slack)
+        if gain <= NEWTON_TOL:
+            break
+        if step == NEWTON_MAX_STEPS:
+            raise FitConvergenceError(
+                f"truncated lognormal fit not certified after {step} Newton steps "
+                f"(predicted gain {gain:.3g} a point, tolerance {NEWTON_TOL:g})"
+            )
+        t = 1.0
+        if gain > _DAMPED_GAIN:
+            slope = g[0] * p[0] + g[1] * p[1]
+            while True:
+                trial = clip(eta[0] + t * p[0], eta[1] + t * p[1])
+                if _truncated_normal_terms(*trial, wz, u1)[0] <= f + 0.25 * t * slope:
+                    break
+                t *= 0.5
+                if t < 1e-12:
+                    raise FitConvergenceError(
+                        "truncated lognormal fit: no step along the Newton direction "
+                        f"gains (predicted gain {gain:.3g} a point)"
+                    )
+        held = frozenset(i for i in active if t == 1.0 or i in held)
+        eta = clip(eta[0] + t * p[0], eta[1] + t * p[1])
+    # Held bounds are met exactly; the rest can be off by rounding.
+    mu = origin + (mean + sd * -eta[0] / (2.0 * eta[1]))
+    sigma = sd / math.sqrt(-2.0 * eta[1])
+    mu = mu_lo if 2 in held else mu_hi if 3 in held else min(max(mu, mu_lo), mu_hi)
+    sigma = (
+        SIGMA_MAX if 0 in held else SIGMA_MIN if 1 in held
+        else min(max(sigma, SIGMA_MIN), SIGMA_MAX)
     )
-    if not res.success:
-        # Line searches can stall on the near-flat ridge; polish from the
-        # best point found with a simplex that respects the bounds.
-        res = optimize.minimize(
-            negloglik,
-            x0=res.x,
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={"xatol": 1e-7, "fatol": 1e-12, "maxiter": 2000},
-        )
-    if not np.all(np.isfinite(res.x)) or not math.isfinite(res.fun):
-        raise FitConvergenceError(
-            f"truncated lognormal optimizer failed: {res.message} "
-            f"(start mu={mu0:.4g} sigma={sigma0:.4g})"
-        )
-    mu, log_sigma = res.x
-    return float(mu), float(math.exp(log_sigma)), float(-res.fun) * m
+    return mu, sigma
+
+
+def _truncated_normal_terms(eta1: float, eta2: float, wz: float, u1: float):
+    """The mean negative log-likelihood f of a normal truncated to [wz, inf)
+    with natural parameters (eta1, eta2) = (nu / tau**2, -1 / (2 tau**2)),
+    for standardized data of mean u1 and mean square 1; with its gradient
+    (E Y - u1, E Y**2 - 1) and Hessian Cov(Y, Y**2) in eta.
+
+    The family is exponential in eta, so f is convex there. With Z
+    standard normal truncated to [a, inf), a = (wz - nu) / tau the
+    cutoff's z-score and lambda the inverse Mills ratio, the moments are
+    those of X = Z below _CF_FROM and of the excess X = Z - a from there
+    on, so that the mean excess lambda - a and the variance
+    1 - lambda (lambda - a) keep their digits when the cutoff lies far
+    above the body, where 1 - Phi(a) underflows.
+    """
+    tau = 1.0 / math.sqrt(-2.0 * eta2)
+    nu = -eta1 / (2.0 * eta2)
+    a = (wz - nu) / tau
+    if a < _CF_FROM:
+        # M_k = a^(k-1) lambda + (k-1) M_(k-2), the moments of Z.
+        log_sf = float(log_ndtr(-a))
+        lam = math.exp(-0.5 * a * a - _LOG_SQRT_2PI - log_sf)
+        m1, m2 = lam, 1.0 + a * lam
+        m3, m4 = (a * a + 2.0) * lam, a * a * a * lam + 3.0 * m2
+        base = nu
+        f = 0.5 * nu * nu / (tau * tau) + math.log(tau) + _LOG_SQRT_2PI + log_sf
+    else:
+        # The moments of the excess X = Z - a, from the ratios
+        # E X^k / E X^(k-1) = k / (a + E X^(k+1) / E X^k) of Laplace's
+        # continued fraction, evaluated from its tail.
+        ratios = [0.0] * 5
+        r = math.sqrt(_CF_TERMS + 1.0)
+        for k in range(_CF_TERMS, 0, -1):
+            r = k / (a + r)
+            if k < 5:
+                ratios[k] = r
+        m1 = ratios[1]  # lambda - a
+        m2 = m1 * ratios[2]
+        m3 = m2 * ratios[3]
+        m4 = m3 * ratios[4]
+        base = wz
+        # log of the Mills ratio 1 / lambda
+        f = eta1 * wz + eta2 * wz * wz + math.log(tau) - math.log(a + m1)
+    f -= eta1 * u1 + eta2
+    # Y = base + tau X.
+    mean_y = base + tau * m1
+    mean_y2 = base * base + 2.0 * base * tau * m1 + tau * tau * m2
+    c11, c12, c22 = m2 - m1 * m1, m3 - m1 * m2, m4 - m2 * m2
+    t2 = tau * tau
+    h11 = t2 * c11
+    h12 = 2.0 * base * t2 * c11 + t2 * tau * c12
+    h22 = 4.0 * base * base * t2 * c11 + 4.0 * base * t2 * tau * c12 + t2 * t2 * c22
+    return f, (mean_y - u1, mean_y2 - 1.0), (h11, h12, h22)
+
+
+def _bounded_newton_step(g, h, rows, slack):
+    """(gain, p, active): the step p minimizing the quadratic model
+    g . p + p . H p / 2 subject to rows[i] . p <= slack[i], the model's
+    gain -(g . p + p . H p / 2), and the indices of the rows held with
+    equality. H is (h11, h12, h22), positive definite.
+
+    The minimizer is unique, and lies where no row, one row or two rows
+    hold with equality; the feasible candidate of least model value is it.
+    """
+    h11, h12, h22 = h
+    det = h11 * h22 - h12 * h12
+    if not (det > 0 and h11 > 0):
+        raise FitConvergenceError(f"truncated lognormal fit: Hessian not positive definite {h}")
+
+    def solve(b1, b2):
+        return (h22 * b1 - h12 * b2) / det, (h11 * b2 - h12 * b1) / det
+
+    hg = solve(*g)
+    candidates = [((-hg[0], -hg[1]), ())]
+    for i, (c1, c2) in enumerate(rows):
+        # Along the line of row i, from its point nearest the origin.
+        t1, t2 = -c2, c1
+        p1, p2 = slack[i] * c1, slack[i] * c2
+        d1, d2 = g[0] + h11 * p1 + h12 * p2, g[1] + h12 * p1 + h22 * p2
+        s = -(t1 * d1 + t2 * d2) / (h11 * t1 * t1 + 2.0 * h12 * t1 * t2 + h22 * t2 * t2)
+        candidates.append(((p1 + s * t1, p2 + s * t2), (i,)))
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            (a1, a2), (b1, b2) = rows[i], rows[j]
+            d = a1 * b2 - a2 * b1
+            if d != 0:
+                p = ((slack[i] * b2 - a2 * slack[j]) / d, (a1 * slack[j] - slack[i] * b1) / d)
+                candidates.append((p, (i, j)))
+    best = None
+    for p, active in candidates:
+        size = abs(p[0]) + abs(p[1])
+        if all(
+            c[0] * p[0] + c[1] * p[1] <= r + 1e-12 * size
+            for k, (c, r) in enumerate(zip(rows, slack)) if k not in active
+        ):
+            value = g[0] * p[0] + g[1] * p[1] + 0.5 * (
+                h11 * p[0] * p[0] + 2.0 * h12 * p[0] * p[1] + h22 * p[1] * p[1]
+            )
+            if best is None or value < best[0]:
+                best = (value, p, active)
+    if best is None:
+        raise FitConvergenceError("truncated lognormal fit: no feasible Newton step")
+    return -best[0], best[1], frozenset(best[2])
 
 
 @dataclass(frozen=True)
@@ -730,6 +927,8 @@ def _binned_negloglik(log_probs: np.ndarray, counts: np.ndarray) -> float:
 
 
 def _fit_binned_lognormal(edges, counts, n) -> FitReport:
+    from scipy import optimize
+
     centers = np.sqrt(edges[:-1] * edges[1:])  # geometric centers
     log_c = np.log(centers)
     w = counts / counts.sum()
@@ -804,6 +1003,8 @@ def _fit_binned_powerlaw(edges, counts, n, min_tail) -> FitReport:
 
 
 def _binned_powerlaw_gamma(edges, counts, xmin):
+    from scipy import optimize
+
     log_edges = np.log(edges / xmin)
 
     def negloglik(gamma):
@@ -838,6 +1039,8 @@ def fit_edf_normal(s: DurationSample, tolerance: float = 0.05) -> EdfNormalFit:
     a deviation above ``tolerance`` flags model misfit (e.g. a small-value
     excess the MLE absorbs but the EDF shape exposes).
     """
+    from scipy import optimize
+
     logs, mle_mu, mle_sigma = _log_moments(s.values)
     targets = (np.arange(1, s.n + 1) - 0.5) / s.n
 

@@ -2,12 +2,16 @@
 schema and seeded reproducibility.
 """
 import json
+import os
 import struct
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import tailfit
 from tailfit import compare_families, estimation, fit_powerlaw_tail, ingestion, pool, quantize
 from tailfit.cli import main
 from tailfit.ingestion import read_durations_text
@@ -461,6 +465,102 @@ class TestThreadsOption:
         code, _, err = run(["--threads", "1", *self.fit_args(tmp_path)], capsys)
         assert code == 1
         assert err.startswith("error: io:")
+
+
+
+def powerlaw_of_exponent(gamma):
+    """A seeded power-law sample with the given exponent from 1."""
+    return np.exp(np.random.default_rng(1).exponential(1.0 / (gamma - 1.0), 2000))
+
+
+class TestTruncatedFitExtremes:
+    """fit --xmin and compare --xmin, whose lognormal is the truncated fit,
+    on tails at its edges: each exits 0 with finite numbers, or 2 naming
+    degenerate data, with no numpy warning."""
+
+    CASES = {
+        # The fitted body sits so far below the cutoff that 1 - Phi(a) is 0.
+        "cutoff-far-above-body": (lambda: powerlaw_of_exponent(51.0), 1.0),
+        "two-values": (lambda: [1.0] * 50 + [2.0] * 50, 1.0),
+        "ties-but-one": (lambda: [1.0] * 99 + [2.0], 1.0),
+        "sigma-bound": (lambda: powerlaw_of_exponent(2.0), 1.0),
+        "near-float-max": (lambda: np.geomspace(1e307, 1.7e308, 200), 1e307),
+        # A log spread below the smallest sigma fitted.
+        "ulp-spread": (lambda: [1.0] * 50 + [np.nextafter(1.0, 2.0)] * 50, 1.0),
+    }
+
+    def run_case(self, tmp_path, capsys, name, command):
+        values, xmin = self.CASES[name]
+        path = tmp_path / "tail.txt"
+        path.write_text("".join(f"{float(v)!r}\n" for v in values()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run([command, "--input", str(path), "--xmin", repr(xmin)], capsys)
+
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_exit_and_output(self, tmp_path, capsys, name, command):
+        code, out, err = self.run_case(tmp_path, capsys, name, command)
+        if name == "ulp-spread":
+            assert (code, out) == (2, "")
+            assert err.startswith("error: degenerate-data: the tail's log spread ")
+            return
+        assert (code, err) == (0, "")
+        numbers = [v for v in json.loads(out).values() if isinstance(v, float)]
+        assert numbers and all(np.isfinite(numbers))
+
+    def test_cases_reach_the_edges(self, tmp_path, capsys):
+        from scipy.special import ndtr
+
+        rows = {}
+        for name in ("cutoff-far-above-body", "sigma-bound"):
+            code, out, _ = self.run_case(tmp_path, capsys, name, "fit")
+            assert code == 0
+            rows[name] = json.loads(out)
+        far = rows["cutoff-far-above-body"]
+        assert ndtr(-(np.log(far["xmin"]) - far["mu"]) / far["sigma"]) == 0.0
+        assert rows["sigma-bound"]["sigma"] == estimation.SIGMA_MAX
+
+
+class TestStartup:
+    """No subcommand imports scipy.optimize: the truncated fit is solved with
+    numpy, and only the binned fits, which no subcommand runs, import it."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("startup")
+        (path / "events.csv").write_text(EVENTS)
+        assert main(["simulate", "lognormal", "--mu", "5", "--sigma", "1.5", "-n", "2000",
+                     "--seed", "3", "--output", str(path / "sample.txt")]) == 0
+        assert main(["fit", "--input", str(path / "sample.txt"),
+                     "--output", str(path / "fit.json")]) == 0
+        return path
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            None,
+            ["ingest", "--events", "events.csv", "--output", "d.txt", "--summary", "s.json"],
+            ["simulate", "powerlaw", "--seed", "1", "--output", "p.txt"],
+            ["bin", "--input", "sample.txt", "--log-bins", "5", "--output", "h.csv"],
+            ["fit", "--input", "sample.txt", "--output", "f.json"],
+            ["fit", "--input", "sample.txt", "--xmin", "150", "--output", "fx.json"],
+            ["compare", "--input", "sample.txt", "--output", "c.json"],
+            ["report", "fit.json", "--output", "r.md"],
+        ],
+        ids=["import", "ingest", "simulate", "bin", "fit", "fit-xmin", "compare", "report"],
+    )
+    def test_leaves_scipy_optimize_out(self, workdir, args):
+        code = "import sys\nimport tailfit.cli\n"
+        if args is not None:
+            code += f"assert tailfit.cli.main({args!r}) == 0\n"
+        code += "print('scipy.optimize' in sys.modules)\n"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tailfit.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", code], cwd=workdir, env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
 
 
 class TestCompare:

@@ -10,13 +10,12 @@ import re
 import tracemalloc
 import warnings
 from concurrent.futures.process import BrokenProcessPool
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy import optimize, stats
+from scipy import stats
 from scipy.special import erfc, log_ndtr
 
 from tailfit import (
@@ -118,6 +117,17 @@ def reference_truncated_lognormal_loglik(y, w, mu, sigma):
     z = (y - mu) / sigma
     per_point = -0.5 * z * z - _LOG_SQRT_2PI - math.log(sigma) - y
     return float(np.sum(per_point) - y.size * log_ndtr(-(w - mu) / sigma))
+
+
+def statistics_loglik(y, w, mu, sigma):
+    """The truncated-lognormal tail log-likelihood as the Newton fit sees
+    it: from the tail's sufficient statistics, in units of its spread."""
+    origin, _, mean, shift, sd = estimation._tail_statistics(y)
+    nu, tau = ((mu - origin) - mean) / sd, sigma / sd
+    f, _, _ = estimation._truncated_normal_terms(
+        nu / tau**2, -0.5 / tau**2, ((w - origin) - mean) / sd, shift / sd
+    )
+    return -y.size * (f + math.log(sd) + origin + mean + shift)
 
 
 def reference_vuong(tail, xmin, powerlaw, lognormal):
@@ -470,53 +480,43 @@ class TestLognormalFit:
         st.integers(0, 2**32 - 1),
         st.integers(2, 400),
         st.floats(-8.0, 8.0),
-        st.floats(math.log(1e-6), math.log(estimation.SIGMA_MAX)),
+        st.floats(math.log(estimation.SIGMA_MIN), math.log(estimation.SIGMA_MAX)),
     )
-    def test_truncated_objective_equals_first_version(self, seed, m, mu, log_sigma):
-        # The optimizer's objective, taken from the call that receives it,
-        # equals the first version at any point and at the optimum.
+    def test_truncated_loglik_equals_first_version(self, seed, m, mu, log_sigma):
+        # The log-likelihood the Newton fit maximizes, taken from the
+        # tail's sufficient statistics, equals the first version at any
+        # point up to rounding; the fit is at least as likely as any point
+        # within the bounds, and reports the first version's value exactly.
         rng = np.random.default_rng(seed)
         y = np.sort(rng.normal(rng.uniform(-5.0, 5.0), rng.uniform(0.1, 3.0), m))
         w = float(y[0])
-        objectives = []
+        sigma = math.exp(log_sigma)
+        want = reference_truncated_lognormal_loglik(y, w, mu, sigma)
+        z = (y - mu) / sigma
+        # The size of the terms the first version sums, which sets its rounding.
+        scale = float(np.sum(0.5 * z * z + np.abs(y))) + m * (
+            abs(log_sigma) + 1.0 - float(log_ndtr(-(w - mu) / sigma))
+        )
+        assert abs(statistics_loglik(y, w, mu, sigma) - want) <= 1e-13 * scale
+        mu_hat, sigma_hat, loglik = estimation._truncated_lognormal_mle(y, w)
+        assert loglik == reference_truncated_lognormal_loglik(y, w, mu_hat, sigma_hat)
+        if w - 5.0 * estimation.SIGMA_MAX**2 <= mu <= float(y[-1]) + 10.0:
+            assert loglik >= want - 1e-13 * scale
 
-        def minimize(fun, *args, **kwargs):
-            objectives.append(fun)
-            return optimize.minimize(fun, *args, **kwargs)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(estimation, "optimize", SimpleNamespace(minimize=minimize))
-            try:
-                mu_hat, sigma_hat, loglik = estimation._truncated_lognormal_mle(y, w)
-            except FitConvergenceError:
-                mu_hat = None
-        want = reference_truncated_lognormal_loglik(y, w, mu, math.exp(log_sigma))
-        assert objectives[0](np.array([mu, log_sigma])) == -want / m
-        if mu_hat is not None:
-            assert loglik == reference_truncated_lognormal_loglik(y, w, mu_hat, sigma_hat) / m * m
-
-    def test_truncated_objective_allocates_no_tail_sized_array(self):
-        # The objective writes into two buffers made once per fit.
+    def test_truncated_newton_allocates_no_tail_sized_array(self):
+        # After one pass over the tail, the Newton steps work on its
+        # sufficient statistics alone.
         m = 100_000
         y = np.sort(np.random.default_rng(5).normal(3.0, 1.0, m))
-        objectives = []
-
-        def minimize(fun, *args, **kwargs):
-            objectives.append(fun)
-            return optimize.minimize(fun, *args, **kwargs)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(estimation, "optimize", SimpleNamespace(minimize=minimize))
-            estimation._truncated_lognormal_mle(y, float(y[0]))
-        theta = np.array([3.0, 0.1])
-        want = objectives[0](theta)
+        w = float(y[0])
+        tail_stats = estimation._tail_statistics(y)
         tracemalloc.start()
         try:
-            got = objectives[0](theta)
+            mu, sigma = estimation._truncated_lognormal_newton(w, tail_stats)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert got == want
+        assert (mu, sigma) == estimation._truncated_lognormal_mle(y, w)[:2]
         assert peak < 8 * m / 10
 
     def test_degenerate_inputs(self):
@@ -588,6 +588,21 @@ class TestBootstrap:
         monkeypatch.setattr(estimation, "_draw_tail", None)  # never reached
         with pytest.raises(DegenerateSampleError, match="passes the largest float64"):
             bootstrap_pvalue(s, fit, 100, SeededGenerator(133))
+
+    def test_uncertified_truncated_fit_raises_and_counts_as_failed(self, monkeypatch):
+        # A tolerance no Newton decrement can meet: the fit takes every step
+        # it may and then raises rather than return an uncertified point,
+        # and every bootstrap refit counts as failed.
+        s = sample_lognormal(LognormalModel(3.0, 1.0), 500, SeededGenerator(171))
+        xmin = float(np.median(s.values))
+        fit = fit_lognormal(s, xmin=xmin)
+        monkeypatch.setattr(estimation, "NEWTON_TOL", -1.0)
+        steps = estimation.NEWTON_MAX_STEPS
+        with pytest.raises(FitConvergenceError, match=f"not certified after {steps} Newton steps"):
+            fit_lognormal(s, xmin=xmin)
+        result = bootstrap_pvalue(s, fit, 100, SeededGenerator(172))
+        assert result.failed == 100
+        assert result.ks == (math.inf,) * 100
 
     def test_lognormal_bootstrap_runs(self):
         s = sample_lognormal(LognormalModel(3.0, 1.0), 1_000, SeededGenerator(126))
