@@ -10,7 +10,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri
+
+from .normal import log_ndtr, ndtr, ndtri
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 

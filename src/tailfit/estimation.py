@@ -11,8 +11,10 @@ semi-parametric scheme: synthetic tails from the fitted model, synthetic
 bodies resampled from the empirical data below the cutoff; their
 replicates can run in forked worker processes without changing p.
 
-scipy.optimize is imported only by the binned fits and the EDF
-diagnostic, when they run; no command-line path calls them.
+The normal cdf, its logarithm and its inverse come from ``tailfit.normal``
+(numpy only). scipy is imported only by the binned fits and the EDF
+diagnostic, which need ``scipy.optimize``, when they run; no command-line
+path calls them.
 """
 from __future__ import annotations
 
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import erfc, log_ndtr, ndtr, ndtri_exp
 
 from .binning import Histogram
 from .distributions import (
@@ -32,6 +33,7 @@ from .distributions import (
     lognormal_logsf_of_log,
     powerlaw_logpdf_of_log,
 )
+from .normal import log_ndtr_float, ndtr, ndtri_exp
 from .pool import RANGES_PER_WORKER, even_ranges, run_ranges, usable_workers
 from .sample import DurationSample, _is_sorted
 
@@ -134,17 +136,30 @@ def _edf_gap(levels: np.ndarray, f: np.ndarray) -> tuple[float, int]:
     return float(levels[k]), k
 
 
-def ks_distance(sample, cdf) -> float:
+# ks_distance scores the cdf at every KS_BLOCK_RUNS-th run of equal values
+# first, then in full only the runs between two such grid runs whose
+# bound (see _pruned_ks) comes within the slack of the largest term found.
+# The cdf must be nondecreasing up to that slack: a value below an earlier
+# one by more could hide a larger term. KS_SLACK is 16 units in the last
+# place of 1; ndtr falls below its running maximum by at most one. Samples
+# of fewer than KS_PRUNE_MIN_RUNS runs are scored in full at once, where
+# one evaluation of the cdf costs less than two.
+KS_BLOCK_RUNS = 16
+KS_PRUNE_MIN_RUNS = 4096
+KS_SLACK = 2.0**-48
+
+
+def ks_distance(sample, cdf, slack: float = KS_SLACK) -> float:
     """sup over sample points of max(|EDF(x-) - F(x)|, |EDF(x) - F(x)|).
 
     A ``DurationSample``, or an array already in ascending order, is used
-    as it is; any other array is sorted first. ``cdf`` acts elementwise.
-    When ties take at least half the points, the cdf is evaluated once per
-    run of equal values and scored at each run's two ends, as the cutoff
-    scan does (see ``_runs_ks``); that takes at most the memory of the
-    other path. Otherwise, besides the cdf values, the two deviations take
-    one n-sized buffer each, one after the other. Both give the maximum
-    over every point bit for bit.
+    as it is; any other array is sorted first. ``cdf`` acts elementwise
+    and is nondecreasing up to ``slack``. The sample is taken as runs of
+    equal values (every point a run of its own when all differ): the cdf
+    is evaluated at most once per run, and the result is the maximum over
+    every point bit for bit (see ``_runs_ks``). On samples of at least
+    ``KS_PRUNE_MIN_RUNS`` runs it is evaluated only where that maximum can
+    be (see ``_pruned_ks``).
     """
     if isinstance(sample, DurationSample):
         values = sample.values
@@ -156,21 +171,67 @@ def ks_distance(sample, cdf) -> float:
     if n < 1:
         raise ValueError("need at least one point")
     new_run = values[1:] != values[:-1]
-    if 2 * (1 + int(np.count_nonzero(new_run))) <= n:
+    if np.count_nonzero(new_run) == n - 1:
+        first = None  # every point is a run
+    else:
         first = np.flatnonzero(np.concatenate(([True], new_run)))  # run starts
-        del new_run
-        f = np.asarray(cdf(values[first]), dtype=float)
-        return _runs_ks(f, first, np.append(first[1:], n), n)[0]
+        values = values[first]
     del new_run
-    f = np.asarray(cdf(values), dtype=float)
-    hi = np.arange(1, n + 1, dtype=float)
-    hi /= n
-    d_hi, _ = _edf_gap(hi, f)
-    del hi
-    lo = np.arange(0, n, dtype=float)
-    lo /= n
-    d_lo, _ = _edf_gap(lo, f)
-    return max(d_hi, d_lo)
+    if values.size < KS_PRUNE_MIN_RUNS:
+        f = np.asarray(cdf(values), dtype=float)
+        return _runs_ks(f, *_run_counts(first, n), n)[0]
+    return _pruned_ks(values, first, n, cdf, slack)
+
+
+def _run_counts(first, n, r=None) -> tuple[np.ndarray, np.ndarray]:
+    """The number of points below each run r (default: every run) and up
+    to its end, for runs starting at the indices ``first`` of n points
+    (every point a run if ``first`` is None)."""
+    if r is None:
+        if first is None:
+            return np.arange(n), np.arange(1, n + 1)
+        return first, np.append(first[1:], n)
+    if first is None:
+        return r, r + 1
+    nxt = r + 1
+    upto = first[np.minimum(nxt, first.size - 1)]
+    upto[nxt == first.size] = n
+    return first[r], upto
+
+
+def _pruned_ks(x, first, n, cdf, slack, block: int = KS_BLOCK_RUNS) -> float:
+    """``_runs_ks`` of the runs with values x (ascending; their starts
+    ``first`` in n points, as for ``_run_counts``), with the cdf evaluated
+    only where its largest term can be.
+
+    The grid is every ``block``-th run and the last. Between grid runs g
+    and h, every run r holds F(g) <= F(r) <= F(h) and
+    upto(g) <= below(r) < upto(r) <= below(h); so each of its terms
+    |below(r)/m - F(r)| and |upto(r)/m - F(r)| is at most
+    max(below(h)/m - F(g), F(h) - upto(g)/m), with the same roundings, all
+    monotone. The cdf is evaluated at the grid, then at the runs between
+    grid runs whose bound is at least the largest grid term less
+    ``slack``, which covers a cdf that falls below its running maximum by
+    up to ``slack``. The largest term, of the grid or of those runs, is
+    the largest of all, bit for bit.
+    """
+    runs = x.size
+    g = np.arange(0, runs + block - 1, block)
+    g[-1] = runs - 1
+    f = np.asarray(cdf(x[g]), dtype=float)
+    below, upto = _run_counts(first, n, g)
+    lo, hi = below / n, upto / n
+    bound = np.maximum(lo[1:] - f[:-1], f[1:] - hi[:-1])
+    best = max(_edf_gap(lo, f)[0], _edf_gap(hi, f)[0])
+    gaps = np.flatnonzero((bound >= best - slack) & (np.diff(g) > 1))
+    if gaps.size:
+        # The runs strictly between the grid runs of each such gap.
+        starts, sizes = g[gaps] + 1, g[gaps + 1] - g[gaps] - 1
+        offsets = np.cumsum(sizes) - sizes
+        r = np.arange(int(sizes.sum())) + np.repeat(starts - offsets, sizes)
+        f = np.asarray(cdf(x[r]), dtype=float)
+        best = max(best, _runs_ks(f, *_run_counts(first, n, r), n)[0])
+    return best
 
 
 def _runs_ks(f, below, upto, m) -> tuple[float, int, int]:
@@ -352,7 +413,7 @@ def fit_powerlaw_tail(
         # Raise the bounds of the candidates that can still win or tie
         # (a bound equal to best_ks may belong to a smaller cutoff's tie).
         open_ = np.flatnonzero(lb <= best_ks)
-        cols = np.unique([r + p_lo, r + p_hi])
+        cols = np.array(sorted({int(r) + p_lo, int(r) + p_hi}))
         lb[open_] = np.maximum(
             lb[open_],
             _ks_lower_bounds(x, *run_bounds(cols), candidates[open_], m[open_], gammas[open_]),
@@ -387,17 +448,21 @@ def _powerlaw_report(gamma, xmin, m, n, ks, sum_log_x) -> FitReport:
     return FitReport("powerlaw", (gamma, xmin), xmin, m, ks, float(loglik), n)
 
 
-def fit_lognormal(s: DurationSample, xmin: float | None = None) -> FitReport:
+def fit_lognormal(
+    s: DurationSample, xmin: float | None = None, loglik: bool = True
+) -> FitReport:
     """Fit a lognormal; closed-form log-moment MLE without a cutoff, truncated
-    maximum likelihood on [xmin, inf) with one.
+    maximum likelihood on [xmin, inf) with one. With ``loglik`` False the
+    report's log-likelihood is nan and is not computed, for callers that
+    read only the KS distance, as the bootstrap's refits do.
     """
     x = s.values
     n = x.size
     if xmin is None:
         logs, mu, sigma = _log_moments(x)
         ks = ks_distance(s, LognormalModel(mu, sigma).cdf)
-        loglik = float(np.sum(lognormal_logpdf_of_log(logs, mu, sigma)))
-        return FitReport("lognormal", (mu, sigma), None, n, ks, loglik, n)
+        ll = float(np.sum(lognormal_logpdf_of_log(logs, mu, sigma))) if loglik else math.nan
+        return FitReport("lognormal", (mu, sigma), None, n, ks, ll, n)
 
     _check_xmin(xmin)
     tail = x[int(np.searchsorted(x, xmin)):]
@@ -406,13 +471,23 @@ def fit_lognormal(s: DurationSample, xmin: float | None = None) -> FitReport:
         raise DegenerateSampleError("need at least two tail values")
     y = np.log(tail)
     w = math.log(xmin)
-    mu, sigma, loglik = _truncated_lognormal_mle(y, w)
+    if loglik:
+        mu, sigma, ll = _truncated_lognormal_mle(y, w)
+    else:
+        mu, sigma = _truncated_lognormal_newton(w, _tail_statistics(y))
+        ll = math.nan
     model = LognormalModel(mu, sigma)
     # Conditional cdf via survival logs; the direct 1 - cdf(xmin) can
     # underflow to zero when the fitted body sits far below the cutoff.
+    # The log-survivals round to a few units in the last place of their
+    # size, which sets how far the cdf can fall below its running maximum.
     log_sf_xmin = model.logsf(xmin)
-    ks = ks_distance(tail, lambda t: -np.expm1(model.logsf(t) - log_sf_xmin))
-    return FitReport("lognormal", (mu, sigma), float(xmin), m, ks, loglik, n)
+    ks = ks_distance(
+        tail,
+        lambda t: -np.expm1(model.logsf(t) - log_sf_xmin),
+        slack=4.0 * KS_SLACK * (1.0 + abs(log_sf_xmin)),
+    )
+    return FitReport("lognormal", (mu, sigma), float(xmin), m, ks, ll, n)
 
 
 def _log_moments(x: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -590,7 +665,7 @@ def _truncated_normal_terms(eta1: float, eta2: float, wz: float, u1: float):
     a = (wz - nu) / tau
     if a < _CF_FROM:
         # M_k = a^(k-1) lambda + (k-1) M_(k-2), the moments of Z.
-        log_sf = float(log_ndtr(-a))
+        log_sf = log_ndtr_float(-a)
         lam = math.exp(-0.5 * a * a - _LOG_SQRT_2PI - log_sf)
         m1, m2 = lam, 1.0 + a * lam
         m3, m4 = (a * a + 2.0) * lam, a * a * a * lam + 3.0 * m2
@@ -746,7 +821,7 @@ def bootstrap_pvalue(
         synthetic = DurationSample(values)
         if fit.family == "powerlaw":
             return fit_powerlaw_tail(synthetic, **fit_options).ks
-        return fit_lognormal(synthetic, xmin=fit.xmin, **fit_options).ks
+        return fit_lognormal(synthetic, xmin=fit.xmin, loglik=False, **fit_options).ks
 
     return _bootstrap(replicate, fit.ks, reps, g, workers)
 
@@ -771,6 +846,12 @@ def _check_tail_fits_float64(model, fit: FitReport, reps: int) -> None:
 
 def _draw_tail(model, fit: FitReport, k: int, rng: np.random.Generator) -> np.ndarray:
     u = rng.random(k)
+    if fit.family == "lognormal":
+        # The replicate is a sorted sample, so the draws' order is free:
+        # ascending u puts each branch of the normal quantile in one
+        # contiguous block, and an untruncated replicate's values (its
+        # tail alone) come out sorted already.
+        u.sort()
     if fit.family == "powerlaw" or fit.xmin is None:
         return model.quantile(u)
     # Truncated lognormal tail: solve S(x) = (1 - u) * S(xmin) for the
@@ -883,7 +964,7 @@ def compare_families(
         normalized, p_value = 0.0, 1.0
     else:
         normalized = lr / (sigma_lr * math.sqrt(m))
-        p_value = float(erfc(abs(normalized) / math.sqrt(2.0)))
+        p_value = math.erfc(abs(normalized) / math.sqrt(2.0))
     return ComparisonReport(
         lr, float(normalized), p_value, verdict(lr, p_value, threshold), float(xmin), m, pl, ln
     )

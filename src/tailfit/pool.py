@@ -12,12 +12,17 @@ and hand freed heap back to the kernel, so a worker that builds arrays of
 the same size range after range would fault their pages in anew each
 time. Where the C library has ``mallopt`` (glibc), each worker fixes the
 mmap and trim thresholds at ``WORKER_MMAP_THRESHOLD`` and
-``WORKER_TRIM_THRESHOLD`` bytes before its first range. The calling
-process's allocator is never touched.
+``WORKER_TRIM_THRESHOLD`` bytes before its first range
+(``keep_freed_memory``). ``run_ranges`` never touches the calling
+process's allocator; the command line (``tailfit.cli.main``) sets
+smaller thresholds for its own process.
 """
 from __future__ import annotations
 
+import ctypes
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 # Ranges handed to the pool per worker; more than one lets a worker that
 # finishes early take over the work of a slow one.
@@ -45,8 +50,6 @@ def usable_workers(workers: int) -> int:
         raise ValueError("need at least one worker")
     workers = min(workers, _usable_cpus())
     if workers > 1:
-        import multiprocessing
-
         if "fork" not in multiprocessing.get_all_start_methods():
             return 1
     return workers
@@ -67,9 +70,6 @@ def run_ranges(task, ranges, workers: int):
         for lo, hi in ranges:
             yield task(lo, hi)
         return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
     # The executor forks every worker before it starts its own thread,
     # and raises BrokenProcessPool if a worker dies, where a
     # multiprocessing.Pool would wait for its lost results forever.
@@ -101,22 +101,22 @@ _worker_task = None
 def _set_worker_task(task) -> None:
     global _worker_task
     _worker_task = task
-    _keep_freed_memory()
+    keep_freed_memory()
 
 
-def _keep_freed_memory() -> None:
+def keep_freed_memory(
+    mmap_threshold: int = WORKER_MMAP_THRESHOLD, trim_threshold: int = WORKER_TRIM_THRESHOLD
+) -> None:
     """Fix this process's malloc mmap and trim thresholds (see the module
     docstring); nothing where the C library has no ``mallopt``."""
-    import ctypes
-
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError):
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    mallopt(M_MMAP_THRESHOLD, WORKER_MMAP_THRESHOLD)
-    mallopt(M_TRIM_THRESHOLD, WORKER_TRIM_THRESHOLD)
+    mallopt(M_MMAP_THRESHOLD, mmap_threshold)
+    mallopt(M_TRIM_THRESHOLD, trim_threshold)
 
 
 def _run_worker_task(bounds: tuple[int, int]):

@@ -7,6 +7,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# Imported at start-up: numpy loads numpy.random only when first used,
+# and the bootstrap's forked workers would each load it on their first
+# replicate.
+from numpy.random import PCG64, Generator, SeedSequence
 
 from .distributions import LognormalModel, PowerLawModel
 from .sample import DurationSample
@@ -22,15 +26,15 @@ class SeededGenerator:
 
     seed: int
 
-    def rng(self) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(self.seed))
+    def rng(self) -> Generator:
+        return Generator(PCG64(self.seed))
 
-    def substream(self, index: int) -> np.random.Generator:
+    def substream(self, index: int) -> Generator:
         # spawn_key keeps substream 0 distinct from the root stream
         # (appending the index to the entropy would not: trailing zeros
         # are absorbed by the seed-sequence pool).
-        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(index,))
-        return np.random.Generator(np.random.PCG64(seq))
+        seq = SeedSequence(entropy=self.seed, spawn_key=(index,))
+        return Generator(PCG64(seq))
 
 
 @dataclass(frozen=True)

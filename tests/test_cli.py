@@ -523,8 +523,10 @@ class TestTruncatedFitExtremes:
 
 
 class TestStartup:
-    """No subcommand imports scipy.optimize: the truncated fit is solved with
-    numpy, and only the binned fits, which no subcommand runs, import it."""
+    """No subcommand imports scipy: the normal kernels are tailfit.normal's
+    and the truncated fit is solved with numpy; only the binned fits and the
+    EDF diagnostic, which no subcommand runs, import scipy.optimize. Nor does
+    any subcommand load numpy.ma, which nothing of tailfit needs."""
 
     @pytest.fixture(scope="class")
     def workdir(self, tmp_path_factory):
@@ -532,6 +534,8 @@ class TestStartup:
         (path / "events.csv").write_text(EVENTS)
         assert main(["simulate", "lognormal", "--mu", "5", "--sigma", "1.5", "-n", "2000",
                      "--seed", "3", "--output", str(path / "sample.txt")]) == 0
+        assert main(["simulate", "lognormal", "--mu", "10.45", "--sigma", "2.75", "-n", "2000",
+                     "--seed", "3", "--output", str(path / "readme.txt")]) == 0
         assert main(["fit", "--input", str(path / "sample.txt"),
                      "--output", str(path / "fit.json")]) == 0
         return path
@@ -545,22 +549,28 @@ class TestStartup:
             ["bin", "--input", "sample.txt", "--log-bins", "5", "--output", "h.csv"],
             ["fit", "--input", "sample.txt", "--output", "f.json"],
             ["fit", "--input", "sample.txt", "--xmin", "150", "--output", "fx.json"],
+            ["--threads", "2", "fit", "--input", "readme.txt", "--quantize", "3600",
+             "--bootstrap", "100", "--output", "fb.json"],
             ["compare", "--input", "sample.txt", "--output", "c.json"],
             ["report", "fit.json", "--output", "r.md"],
         ],
-        ids=["import", "ingest", "simulate", "bin", "fit", "fit-xmin", "compare", "report"],
+        ids=["import", "ingest", "simulate", "bin", "fit", "fit-xmin", "fit-bootstrap",
+             "compare", "report"],
     )
     def test_leaves_scipy_optimize_out(self, workdir, args):
-        code = "import sys\nimport tailfit.cli\n"
+        code = "import sys\nimport tailfit\nimport tailfit.cli\n"
         if args is not None:
             code += f"assert tailfit.cli.main({args!r}) == 0\n"
-        code += "print('scipy.optimize' in sys.modules)\n"
+        code += (
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),"
+            " 'numpy.ma' in sys.modules)\n"
+        )
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tailfit.__file__)))
         done = subprocess.run(
             [sys.executable, "-c", code], cwd=workdir, env=env, capture_output=True, text=True
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout == "False\n"
+        assert done.stdout == "[] False\n"
 
 
 class TestCompare:

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import erfc, log_ndtr
 
 from tailfit import (
     DegenerateSampleError,
@@ -48,6 +47,7 @@ from tailfit.estimation import (
     bootstrap_pvalue_binned,
     verdict,
 )
+from tailfit.normal import log_ndtr
 
 
 def reference_tail_ks(tail, xmin, gamma):
@@ -152,7 +152,7 @@ def reference_vuong(tail, xmin, powerlaw, lognormal):
     if sigma_lr == 0:
         return lr, 0.0, 1.0
     normalized = lr / (sigma_lr * math.sqrt(tail.size))
-    return lr, float(normalized), float(erfc(abs(normalized) / math.sqrt(2.0)))
+    return lr, float(normalized), math.erfc(abs(normalized) / math.sqrt(2.0))
 
 
 def reference_binned_lognormal_ks(edges, counts, mu, sigma):
@@ -257,8 +257,9 @@ class TestEdf:
     def test_run_ks_equals_first_version(self, seed, n, sigma, shape, log_step):
         # Lognormal values floored onto a lattice of step 10**log_step
         # times their median, all equal, or with a tied top of any size.
-        # Where ties take at least half the points, the cdf sees each run
-        # of equal values once.
+        # The cdf sees each run of equal values at most once: all of them
+        # in one call below KS_PRUNE_MIN_RUNS runs, else only where the
+        # maximum can be.
         rng = np.random.default_rng(seed)
         x = rng.lognormal(3.0, sigma, n)
         if shape == "lattice":
@@ -275,19 +276,77 @@ class TestEdf:
         seen = []
 
         def cdf(t):
-            seen.append(t.size)
+            seen.append(t.copy())
             return model.cdf(t)
 
         want = reference_ks(x, model.cdf)
-        assert ks_distance(rng.permutation(x), cdf) == want
-        assert ks_distance(DurationSample(x), cdf) == want
-        runs = np.unique(x).size
-        assert seen == [runs if 2 * runs <= x.size else x.size] * 2
+        runs = np.unique(x)
+        for sample in (rng.permutation(x), DurationSample(x)):
+            seen.clear()
+            assert ks_distance(sample, cdf) == want
+            evaluated = np.sort(np.concatenate(seen))
+            assert np.all(evaluated[1:] > evaluated[:-1])
+            assert np.isin(evaluated, runs).all()
+            if runs.size < estimation.KS_PRUNE_MIN_RUNS:
+                assert len(seen) == 1 and evaluated.size == runs.size
 
     def test_ks_does_not_modify_input(self):
         x = np.array([3.0, 1.0, 2.0])
         ks_distance(x, lambda t: t / 3.0)
         assert x.tolist() == [3.0, 1.0, 2.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 6000),
+        st.sampled_from(
+            ["untied", "tied", "single_run", "lattice", "exact_quantiles", "top_run"]
+        ),
+        st.integers(1, 40),
+        st.floats(-1.0, 1.0),
+        st.sampled_from(["cdf", "tail_survival"]),
+    )
+    def test_pruned_ks_equals_full_runs_ks(self, seed, n, shape, block, shift, kind):
+        # The block bounds never hide the largest term: the pruned KS is
+        # the full _runs_ks bit for bit, for the plain lognormal cdf and
+        # for the truncated fit's conditional cdf from log-survivals, each
+        # with the slack fit_lognormal and ks_distance give it; also where
+        # every term ties (points at the model's own midpoint quantiles),
+        # and where the largest sits in a tied top run.
+        rng = np.random.default_rng(seed)
+        model = LognormalModel(2.0 + shift, 1.0)
+        if shape == "exact_quantiles":
+            x = model.quantile((np.arange(1, n + 1) - 0.5) / n)
+        else:
+            x = rng.lognormal(2.0, 1.0, n)
+            if shape == "tied":
+                x = rng.choice(x, n)
+            elif shape == "single_run":
+                x[:] = x[0]
+            elif shape == "lattice":
+                x = np.floor(x / 0.5) * 0.5 + 0.5
+            elif shape == "top_run":
+                x.sort()
+                x[rng.integers(0, n):] = x[-1]
+        x = np.sort(x)
+        if kind == "cdf":
+            cdf, slack = model.cdf, estimation.KS_SLACK
+        else:
+            xmin = float(x[0])
+            log_sf_xmin = model.logsf(xmin)
+            slack = 4.0 * estimation.KS_SLACK * (1.0 + abs(log_sf_xmin))
+
+            def cdf(t):
+                return -np.expm1(model.logsf(t) - log_sf_xmin)
+
+        first = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+        below, upto = first, np.append(first[1:], n)
+        full = estimation._runs_ks(cdf(x[first]), below, upto, n)[0]
+        untied = first.size == n
+        pruned = estimation._pruned_ks(
+            x if untied else x[first], None if untied else first, n, cdf, slack, block
+        )
+        assert pruned == full
 
     def test_ks_peak_memory_on_sorted_input(self):
         # On a sorted array the cdf values and the two deviation buffers

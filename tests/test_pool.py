@@ -1,5 +1,5 @@
 """The fork pool's allocator setting: made in each worker, never in the
-calling process, and without effect on any result."""
+process that runs the pool, and without effect on any result."""
 import ctypes
 import os
 
@@ -29,7 +29,7 @@ class FakeLibc:
 def test_sets_both_thresholds(monkeypatch):
     libc = FakeLibc()
     monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
-    pool._keep_freed_memory()
+    pool.keep_freed_memory()
     assert libc.calls == [
         (pool.M_MMAP_THRESHOLD, pool.WORKER_MMAP_THRESHOLD),
         (pool.M_TRIM_THRESHOLD, pool.WORKER_TRIM_THRESHOLD),
@@ -43,14 +43,14 @@ def no_library(name):
 @pytest.mark.parametrize("libc", [lambda name: object(), no_library])
 def test_no_op_without_mallopt(monkeypatch, libc):
     monkeypatch.setattr(ctypes, "CDLL", libc)
-    pool._keep_freed_memory()
+    pool.keep_freed_memory()
 
 
 def test_only_workers_set_it(monkeypatch):
     # The setting marks the process it runs in; each range reports its
     # process and that process's marks.
     marks = []
-    monkeypatch.setattr(pool, "_keep_freed_memory", lambda: marks.append(os.getpid()))
+    monkeypatch.setattr(pool, "keep_freed_memory", lambda: marks.append(os.getpid()))
 
     def task(lo, hi):
         return os.getpid(), list(marks)
