@@ -26,15 +26,6 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_DEGENERATE = 2
 
-# The command's own process serves arrays of up to CLI_MMAP_THRESHOLD bytes
-# from the heap and keeps up to CLI_TRIM_THRESHOLD bytes of it freed, as the
-# pool's workers do with their larger thresholds (see tailfit.pool): a
-# bootstrap run in this process, and the fits, would otherwise fault in
-# fresh pages for every array. Arrays as large as a whole input still go
-# back to the kernel when freed.
-CLI_MMAP_THRESHOLD = 4 << 20
-CLI_TRIM_THRESHOLD = 8 << 20
-
 REPORT_COLUMNS = [
     "dist", "gamma(pl)", "p(pl)", "xmin", "mu", "sigma", "p(ln)", "LR", "n", "verdict",
 ]
@@ -43,7 +34,7 @@ REPORT_COLUMNS = [
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    pool.keep_freed_memory(CLI_MMAP_THRESHOLD, CLI_TRIM_THRESHOLD)
+    pool.keep_freed_memory(pool.CLI_MMAP_THRESHOLD, pool.CLI_TRIM_THRESHOLD)
     try:
         args.threads = _thread_count(args.threads)
         return args.func(args)

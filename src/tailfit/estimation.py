@@ -141,11 +141,10 @@ def _edf_gap(levels: np.ndarray, f: np.ndarray) -> tuple[float, int]:
 # bound (see _pruned_ks) comes within the slack of the largest term found.
 # The cdf must be nondecreasing up to that slack: a value below an earlier
 # one by more could hide a larger term. KS_SLACK is 16 units in the last
-# place of 1; ndtr falls below its running maximum by at most one. Samples
-# of fewer than KS_PRUNE_MIN_RUNS runs are scored in full at once, where
-# one evaluation of the cdf costs less than two.
+# place of 1; ndtr falls below its running maximum by at most one, and
+# fit_lognormal widens it for the rounding of its cdfs' logarithms (see
+# _lognormal_ks_slack).
 KS_BLOCK_RUNS = 16
-KS_PRUNE_MIN_RUNS = 4096
 KS_SLACK = 2.0**-48
 
 
@@ -157,9 +156,8 @@ def ks_distance(sample, cdf, slack: float = KS_SLACK) -> float:
     and is nondecreasing up to ``slack``. The sample is taken as runs of
     equal values (every point a run of its own when all differ): the cdf
     is evaluated at most once per run, and the result is the maximum over
-    every point bit for bit (see ``_runs_ks``). On samples of at least
-    ``KS_PRUNE_MIN_RUNS`` runs it is evaluated only where that maximum can
-    be (see ``_pruned_ks``).
+    every point bit for bit (see ``_runs_ks``), and the cdf is evaluated
+    only where that maximum can be (see ``_pruned_ks``).
     """
     if isinstance(sample, DurationSample):
         values = sample.values
@@ -177,20 +175,13 @@ def ks_distance(sample, cdf, slack: float = KS_SLACK) -> float:
         first = np.flatnonzero(np.concatenate(([True], new_run)))  # run starts
         values = values[first]
     del new_run
-    if values.size < KS_PRUNE_MIN_RUNS:
-        f = np.asarray(cdf(values), dtype=float)
-        return _runs_ks(f, *_run_counts(first, n), n)[0]
     return _pruned_ks(values, first, n, cdf, slack)
 
 
-def _run_counts(first, n, r=None) -> tuple[np.ndarray, np.ndarray]:
-    """The number of points below each run r (default: every run) and up
-    to its end, for runs starting at the indices ``first`` of n points
-    (every point a run if ``first`` is None)."""
-    if r is None:
-        if first is None:
-            return np.arange(n), np.arange(1, n + 1)
-        return first, np.append(first[1:], n)
+def _run_counts(first, n, r) -> tuple[np.ndarray, np.ndarray]:
+    """The number of points below each run r and up to its end, for runs
+    starting at the indices ``first`` of n points (every point a run if
+    ``first`` is None)."""
     if first is None:
         return r, r + 1
     nxt = r + 1
@@ -448,21 +439,18 @@ def _powerlaw_report(gamma, xmin, m, n, ks, sum_log_x) -> FitReport:
     return FitReport("powerlaw", (gamma, xmin), xmin, m, ks, float(loglik), n)
 
 
-def fit_lognormal(
-    s: DurationSample, xmin: float | None = None, loglik: bool = True
-) -> FitReport:
+def fit_lognormal(s: DurationSample, xmin: float | None = None) -> FitReport:
     """Fit a lognormal; closed-form log-moment MLE without a cutoff, truncated
-    maximum likelihood on [xmin, inf) with one. With ``loglik`` False the
-    report's log-likelihood is nan and is not computed, for callers that
-    read only the KS distance, as the bootstrap's refits do.
+    maximum likelihood on [xmin, inf) with one.
     """
     x = s.values
     n = x.size
     if xmin is None:
         logs, mu, sigma = _log_moments(x)
-        ks = ks_distance(s, LognormalModel(mu, sigma).cdf)
-        ll = float(np.sum(lognormal_logpdf_of_log(logs, mu, sigma))) if loglik else math.nan
-        return FitReport("lognormal", (mu, sigma), None, n, ks, ll, n)
+        slack = _lognormal_ks_slack(logs[0], logs[-1], mu, sigma)
+        ks = ks_distance(s, LognormalModel(mu, sigma).cdf, slack=slack)
+        loglik = float(np.sum(lognormal_logpdf_of_log(logs, mu, sigma)))
+        return FitReport("lognormal", (mu, sigma), None, n, ks, loglik, n)
 
     _check_xmin(xmin)
     tail = x[int(np.searchsorted(x, xmin)):]
@@ -471,23 +459,35 @@ def fit_lognormal(
         raise DegenerateSampleError("need at least two tail values")
     y = np.log(tail)
     w = math.log(xmin)
-    if loglik:
-        mu, sigma, ll = _truncated_lognormal_mle(y, w)
-    else:
-        mu, sigma = _truncated_lognormal_newton(w, _tail_statistics(y))
-        ll = math.nan
+    mu, sigma, loglik = _truncated_lognormal_mle(y, w)
     model = LognormalModel(mu, sigma)
     # Conditional cdf via survival logs; the direct 1 - cdf(xmin) can
     # underflow to zero when the fitted body sits far below the cutoff.
-    # The log-survivals round to a few units in the last place of their
-    # size, which sets how far the cdf can fall below its running maximum.
     log_sf_xmin = model.logsf(xmin)
-    ks = ks_distance(
-        tail,
-        lambda t: -np.expm1(model.logsf(t) - log_sf_xmin),
-        slack=4.0 * KS_SLACK * (1.0 + abs(log_sf_xmin)),
-    )
-    return FitReport("lognormal", (mu, sigma), float(xmin), m, ks, ll, n)
+    slack = _lognormal_ks_slack(y[0], y[-1], mu, sigma, log_sf_xmin, (w - mu) / sigma)
+    ks = ks_distance(tail, lambda t: -np.expm1(model.logsf(t) - log_sf_xmin), slack=slack)
+    return FitReport("lognormal", (mu, sigma), float(xmin), m, ks, loglik, n)
+
+
+def _lognormal_ks_slack(
+    y_lo: float, y_hi: float, mu: float, sigma: float, log_sf_xmin: float = 0.0,
+    z_xmin: float = 0.0,
+) -> float:
+    """How far fit_lognormal's cdf can fall below its running maximum on
+    ascending t with ln t in [y_lo, y_hi]: Phi((ln t - mu)/sigma), or with
+    a cutoff 1 - S(t)/S(xmin) from log-survivals, z_xmin = (ln xmin - mu)/sigma.
+
+    Two roundings can break its order. The kernel's: ndtr by at most one
+    unit in the last place of 1, the log-survivals by a few of their own
+    size, which is about |log S(xmin)| where the cdf can still move. And
+    numpy's log, which rounds to a few units in the last place of |ln t|
+    and need not be monotone: the cdf's slope in z is at most
+    1 + |z_xmin| (phi(z)/S(z_xmin), below the inverse Mills ratio at
+    z_xmin plus one), and z moves 1/sigma times as far as ln t - mu. Each
+    term is KS_SLACK, 16 units in the last place of 1, times that size.
+    """
+    spread = (max(abs(y_lo), abs(y_hi)) + abs(mu)) / sigma
+    return KS_SLACK * (4.0 * (1.0 + abs(log_sf_xmin)) + (1.0 + abs(z_xmin)) * spread)
 
 
 def _log_moments(x: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -821,7 +821,7 @@ def bootstrap_pvalue(
         synthetic = DurationSample(values)
         if fit.family == "powerlaw":
             return fit_powerlaw_tail(synthetic, **fit_options).ks
-        return fit_lognormal(synthetic, xmin=fit.xmin, loglik=False, **fit_options).ks
+        return fit_lognormal(synthetic, xmin=fit.xmin, **fit_options).ks
 
     return _bootstrap(replicate, fit.ks, reps, g, workers)
 
@@ -846,13 +846,14 @@ def _check_tail_fits_float64(model, fit: FitReport, reps: int) -> None:
 
 def _draw_tail(model, fit: FitReport, k: int, rng: np.random.Generator) -> np.ndarray:
     u = rng.random(k)
-    if fit.family == "lognormal":
-        # The replicate is a sorted sample, so the draws' order is free:
-        # ascending u puts each branch of the normal quantile in one
-        # contiguous block, and an untruncated replicate's values (its
-        # tail alone) come out sorted already.
+    if fit.family == "powerlaw":
+        return model.quantile(u)
+    if fit.xmin is None:
+        # The replicate is this tail alone, taken as a sorted sample, so
+        # the draws' order is free: ascending u gives its values sorted
+        # already, in place of DurationSample's sort, and puts each branch
+        # of the normal quantile in one contiguous block.
         u.sort()
-    if fit.family == "powerlaw" or fit.xmin is None:
         return model.quantile(u)
     # Truncated lognormal tail: solve S(x) = (1 - u) * S(xmin) for the
     # survival function S in log space, since 1 - cdf(xmin) rounds to 0

@@ -52,8 +52,6 @@ _ERFCX_ASYMPTOTIC = 1e8
 # larger argument.
 _ERFC_ZERO = 27.0
 _HALF_MAX = 0.5 * np.finfo(float).max
-# Each branch of a kernel runs on blocks of at most this many values.
-_BLOCK = 32768
 
 # erf(x) = x T(x^2) / U(x^2) on |x| <= 1.
 _T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
@@ -151,21 +149,10 @@ def _positions(mask):
 
 
 def _apply(formula, x, mask, out):
-    """out[mask] = formula(x[mask]), for flat arrays, the formula taken on
-    blocks of at most _BLOCK values, whose temporaries stay in the CPU's
-    fastest caches."""
+    """out[mask] = formula(x[mask]), for flat arrays."""
     sel = _positions(mask)
-    if sel is None:
-        return
-    xs = x[sel]
-    if xs.size <= _BLOCK:
-        out[sel] = formula(xs)
-        return
-    dst = out[sel] if isinstance(sel, slice) else np.empty_like(xs)
-    for lo in range(0, xs.size, _BLOCK):
-        dst[lo:lo + _BLOCK] = formula(xs[lo:lo + _BLOCK])
-    if not isinstance(sel, slice):
-        out[sel] = dst
+    if sel is not None:
+        out[sel] = formula(x[sel])
 
 
 def _elementwise(kernel, a):

@@ -14,8 +14,8 @@ time. Where the C library has ``mallopt`` (glibc), each worker fixes the
 mmap and trim thresholds at ``WORKER_MMAP_THRESHOLD`` and
 ``WORKER_TRIM_THRESHOLD`` bytes before its first range
 (``keep_freed_memory``). ``run_ranges`` never touches the calling
-process's allocator; the command line (``tailfit.cli.main``) sets
-smaller thresholds for its own process.
+process's allocator. The command line fixes it, in its own process, at
+the smaller ``CLI_MMAP_THRESHOLD`` and ``CLI_TRIM_THRESHOLD``.
 """
 from __future__ import annotations
 
@@ -36,6 +36,12 @@ M_TRIM_THRESHOLD = -1
 M_MMAP_THRESHOLD = -3
 WORKER_MMAP_THRESHOLD = 32 << 20
 WORKER_TRIM_THRESHOLD = 64 << 20
+# The command line's own process: a bootstrap run there, and the fits,
+# would otherwise fault in fresh pages for every array, but arrays the
+# size of a whole input still go back to the kernel when freed, which
+# keeps its peak memory near that of its largest arrays.
+CLI_MMAP_THRESHOLD = 4 << 20
+CLI_TRIM_THRESHOLD = 8 << 20
 
 
 def _usable_cpus() -> int:

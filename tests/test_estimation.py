@@ -257,9 +257,8 @@ class TestEdf:
     def test_run_ks_equals_first_version(self, seed, n, sigma, shape, log_step):
         # Lognormal values floored onto a lattice of step 10**log_step
         # times their median, all equal, or with a tied top of any size.
-        # The cdf sees each run of equal values at most once: all of them
-        # in one call below KS_PRUNE_MIN_RUNS runs, else only where the
-        # maximum can be.
+        # The cdf sees each run of equal values at most once, and only
+        # where the maximum can be.
         rng = np.random.default_rng(seed)
         x = rng.lognormal(3.0, sigma, n)
         if shape == "lattice":
@@ -287,8 +286,6 @@ class TestEdf:
             evaluated = np.sort(np.concatenate(seen))
             assert np.all(evaluated[1:] > evaluated[:-1])
             assert np.isin(evaluated, runs).all()
-            if runs.size < estimation.KS_PRUNE_MIN_RUNS:
-                assert len(seen) == 1 and evaluated.size == runs.size
 
     def test_ks_does_not_modify_input(self):
         x = np.array([3.0, 1.0, 2.0])
@@ -304,37 +301,45 @@ class TestEdf:
         ),
         st.integers(1, 40),
         st.floats(-1.0, 1.0),
+        st.floats(-30.0, 30.0),
+        st.floats(1e-4, 3.0),
         st.sampled_from(["cdf", "tail_survival"]),
     )
-    def test_pruned_ks_equals_full_runs_ks(self, seed, n, shape, block, shift, kind):
+    def test_pruned_ks_equals_full_runs_ks(self, seed, n, shape, block, shift, mu, sigma, kind):
         # The block bounds never hide the largest term: the pruned KS is
         # the full _runs_ks bit for bit, for the plain lognormal cdf and
         # for the truncated fit's conditional cdf from log-survivals, each
-        # with the slack fit_lognormal and ks_distance give it; also where
-        # every term ties (points at the model's own midpoint quantiles),
-        # and where the largest sits in a tied top run.
+        # with the slack fit_lognormal gives it; also where every term
+        # ties (points at the model's own midpoint quantiles), where the
+        # largest sits in a tied top run, and at small spreads and large
+        # log-locations, where the rounding of ln t moves the cdf most.
         rng = np.random.default_rng(seed)
-        model = LognormalModel(2.0 + shift, 1.0)
+        model = LognormalModel(mu + shift * sigma, sigma)
         if shape == "exact_quantiles":
             x = model.quantile((np.arange(1, n + 1) - 0.5) / n)
         else:
-            x = rng.lognormal(2.0, 1.0, n)
+            x = rng.lognormal(mu, sigma, n)
             if shape == "tied":
                 x = rng.choice(x, n)
             elif shape == "single_run":
                 x[:] = x[0]
             elif shape == "lattice":
-                x = np.floor(x / 0.5) * 0.5 + 0.5
+                step = 0.25 * sigma * math.exp(mu)
+                x = np.floor(x / step) * step + step
             elif shape == "top_run":
                 x.sort()
                 x[rng.integers(0, n):] = x[-1]
         x = np.sort(x)
+        y_lo, y_hi = math.log(x[0]), math.log(x[-1])
         if kind == "cdf":
-            cdf, slack = model.cdf, estimation.KS_SLACK
+            cdf = model.cdf
+            slack = estimation._lognormal_ks_slack(y_lo, y_hi, model.mu, sigma)
         else:
             xmin = float(x[0])
             log_sf_xmin = model.logsf(xmin)
-            slack = 4.0 * estimation.KS_SLACK * (1.0 + abs(log_sf_xmin))
+            slack = estimation._lognormal_ks_slack(
+                y_lo, y_hi, model.mu, sigma, log_sf_xmin, (y_lo - model.mu) / sigma
+            )
 
             def cdf(t):
                 return -np.expm1(model.logsf(t) - log_sf_xmin)
@@ -349,8 +354,12 @@ class TestEdf:
         assert pruned == full
 
     def test_ks_peak_memory_on_sorted_input(self):
-        # On a sorted array the cdf values and the two deviation buffers
-        # are the only n-sized allocations: no sorted copy, no temporaries.
+        # On a sorted array of distinct values the one n-sized allocation
+        # is the mask of run starts (n bytes): no sorted copy, and the cdf
+        # is evaluated on the grid of every KS_BLOCK_RUNS-th run and the
+        # blocks that can hold the maximum, with temporaries of that size
+        # (measured 4.0 n bytes). Evaluating it at every point would take
+        # 8 n bytes for its values alone.
         n = 10**6
         x = np.sort(SeededGenerator(118).rng().lognormal(0.0, 1.0, n))
         cdf = LognormalModel(0.0, 1.0).cdf
@@ -360,7 +369,7 @@ class TestEdf:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * 8 * n * 1.02
+        assert peak <= n + 8 * 8 * n / estimation.KS_BLOCK_RUNS
 
 
 class TestPowerlawFit:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailfit import estimation, normal
+from tailfit.distributions import LognormalModel
 
 SQRT2 = math.sqrt(2.0)
 E2 = math.exp(-2.0)
@@ -124,23 +125,23 @@ def test_shapes_and_scalars():
         assert f(0.25) == f(np.array([0.25]))[0]
     assert normal.ndtri(np.array([[0.1, 0.9]])).shape == (1, 2)
     assert normal.ndtri_exp(np.zeros((0,))).shape == (0,)
-    # The input is never written to, also in blocks past the block size.
-    big = np.linspace(-40.0, 40.0, 3 * normal._BLOCK + 5)
+    # The input is never written to.
+    big = np.linspace(-40.0, 40.0, 100_005)
     keep = big.copy()
     for f in (normal.ndtr, normal.log_ndtr):
         f(big)
     np.testing.assert_array_equal(big, keep)
 
 
-def test_blocks_match_one_pass():
-    # Random order, so each block mixes branches.
-    x = np.random.default_rng(4).uniform(-40.0, 10.0, 5 * normal._BLOCK + 3)
+def test_values_do_not_depend_on_the_rest_of_the_array():
+    # Random order, so each part mixes branches.
+    x = np.random.default_rng(4).uniform(-40.0, 10.0, 100_003)
     for name in ("ndtr", "log_ndtr"):
         f = getattr(normal, name)
         whole = f(x)
         parts = np.concatenate([f(x[i:i + 1000]) for i in range(0, x.size, 1000)])
         np.testing.assert_array_equal(whole, parts)
-    p = np.random.default_rng(5).random(3 * normal._BLOCK + 7)
+    p = np.random.default_rng(5).random(100_007)
     parts = np.concatenate([normal.ndtri(p[:9]), normal.ndtri(p[9:])])
     np.testing.assert_array_equal(normal.ndtri(p), parts)
 
@@ -182,8 +183,8 @@ def test_ndtr_monotone_on_sorted_input_within_slack(x):
 @given(sorted_arguments(), st.floats(-1.5, 40.0))
 def test_tail_survival_monotone_on_sorted_input_within_slack(z, z0):
     # The truncated fit's conditional cdf 1 - S(t)/S(xmin) from
-    # log-survivals log_ndtr(-z): nondecreasing in z up to the slack that
-    # fit_lognormal allows it, 4 KS_SLACK (1 + |log S(xmin)|).
+    # log-survivals log_ndtr(-z): nondecreasing in z up to the part of
+    # fit_lognormal's slack that is the kernel's, 4 KS_SLACK (1 + |log S(xmin)|).
     z = z[z >= z0]
     if z.size == 0:
         return
@@ -191,3 +192,50 @@ def test_tail_survival_monotone_on_sorted_input_within_slack(z, z0):
     f = -np.expm1(normal.log_ndtr(-z) - log_sf0)
     slack = 4.0 * estimation.KS_SLACK * (1.0 + abs(log_sf0))
     assert np.max(np.maximum.accumulate(f) - f) <= slack / 8
+
+
+def sorted_durations():
+    """(mu, sigma, t): sorted t around a random centre exp(y), consecutive
+    floats and nearby random ones, with the centre at z-score z of a
+    lognormal of log-location mu and spread sigma."""
+    def build(seed, y, z, sigma, width):
+        t = np.exp(y)
+        near = t * np.exp(np.random.default_rng(seed).uniform(-width, width, 600) * sigma)
+        x = np.concatenate([t + np.arange(-300, 300) * np.spacing(t), near])
+        return y - z * sigma, sigma, np.sort(x)
+
+    return st.builds(
+        build, st.integers(0, 2**32 - 1), st.floats(-30.0, 30.0), st.floats(-8.0, 8.0),
+        st.floats(1e-4, 3.0), st.floats(1e-12, 2.0),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(sorted_durations())
+def test_lognormal_cdf_monotone_on_sorted_input_within_slack(case):
+    # Phi((ln t - mu)/sigma) as LognormalModel.cdf takes it, numpy's log
+    # included, against the slack fit_lognormal gives the untruncated fit.
+    mu, sigma, t = case
+    f = LognormalModel(mu, sigma).cdf(t)
+    y = np.log(t)
+    slack = estimation._lognormal_ks_slack(y[0], y[-1], mu, sigma)
+    assert np.max(np.maximum.accumulate(f) - f) <= slack / 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(sorted_durations(), st.floats(-1.5, 40.0))
+def test_truncated_lognormal_cdf_monotone_on_sorted_input_within_slack(case, z0):
+    # 1 - S(t)/S(xmin) from LognormalModel.logsf, as the truncated fit
+    # takes it, with xmin at z-score z0, against its slack.
+    mu, sigma, t = case
+    xmin = math.exp(mu + z0 * sigma)
+    t = t[t >= xmin]
+    if t.size == 0:
+        return
+    model = LognormalModel(mu, sigma)
+    log_sf0 = model.logsf(xmin)
+    f = -np.expm1(model.logsf(t) - log_sf0)
+    y = np.log(t)
+    z_xmin = (math.log(xmin) - mu) / sigma
+    slack = estimation._lognormal_ks_slack(y[0], y[-1], mu, sigma, log_sf0, z_xmin)
+    assert np.max(np.maximum.accumulate(f) - f) <= slack / 4
