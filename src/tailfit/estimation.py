@@ -910,6 +910,10 @@ def _bootstrap(replicate, observed_ks: float, reps: int, g, workers: int) -> Boo
     """
     if reps < 100:
         raise ValueError("need at least 100 bootstrap replicates")
+    # Loaded here, once, so that the forked workers inherit it rather than
+    # each importing it on its first replicate.
+    import numpy.random  # noqa: F401
+
     workers = usable_workers(workers)
     ranges = even_ranges(reps, workers * RANGES_PER_WORKER)
     parts = run_ranges(partial(_replicates, replicate, g), ranges, workers)

@@ -19,10 +19,13 @@ columns of 12 bytes per event (a float64 timestamp and an int32 actor
 code, actors numbered in first-seen order), plus one batch, so memory
 still grows with the number of events. It then takes every actor's gaps
 at once: one stable sort by actor (a radix sort of 16-bit codes when the
-actors allow; none when the log is grouped by actor already), one diff,
-a mask at the actor boundaries, and one sort of the gaps in place, whose
-zero gaps then form a prefix that the sample leaves out; only when some
-actor's stamps are out of file order are they sorted within each actor.
+actors allow; none when the log is grouped by actor already), the gaps
+in place in the stamps column, a block at a time from the end, so that
+no second event-sized float64 array exists, a mask at the actor
+boundaries, and one sort of the gaps in place, whose zero gaps then form
+a prefix that the sample leaves out. Only when some actor's stamps are
+out of file order, which is decided before any stamp is overwritten,
+are they first sorted within each actor.
 
 Duration text holds one value per line as ``repr`` writes it. It is
 written in blocks of ``CHUNK_ROWS`` values, each laid out by
@@ -32,9 +35,10 @@ read in blocks of about ``BLOCK_BYTES`` that end just after a newline
 byte; a block of ``digits[.digits]`` lines is read by
 ``floattext.decimal_values``, any other block (blank lines, CRs,
 exponents, padding, ``nan``, more than 19 significant digits...) line by
-line with ``float``, as standard input and other streams are. The
-kernels give ``repr``'s and ``float``'s results bit for bit, so the
-outputs are the same either way.
+line with ``float``, as standard input and other streams are. Each
+block's values are copied, as they come, into one float64 array sized
+from the file's line ends. The kernels give ``repr``'s and ``float``'s
+results bit for bit, so the outputs are the same either way.
 
 With more than one worker, large duration texts are formatted and read
 in contiguous ranges by forked processes (``pool.run_ranges``): a regular
@@ -71,9 +75,12 @@ CHUNK_ROWS = 8192
 # took 7-20 ms on a 2-core host, so a pool pays for itself only from a few
 # MB on.
 POOL_MIN_BYTES = 4 << 20
-# An event CSV file is parsed in blocks of about this many bytes.
-BLOCK_BYTES = 1 << 20
-# Actor codes are counted at least this many at a time.
+# Event CSV and duration text files are read in blocks of about this many
+# bytes. A 256 KiB block of events keeps the parser's temporaries near
+# 2 MB; blocks of 1 MiB took about 7 MB of them, and no less time.
+BLOCK_BYTES = 1 << 18
+# The passes over the event columns go this many events at a time (actor
+# codes are counted at least this many at a time).
 COUNT_BLOCK = 1 << 16
 
 
@@ -357,6 +364,10 @@ def interevent_durations(events: Iterable[EventBatch]) -> tuple[DurationSample, 
     codes, stamps, names = _columns(events, summary)
     n = codes.size
     summary.actors = len(names)
+    # The passes below that compare or subtract neighbouring events go a
+    # block at a time, so that their temporaries stay block-sized; each
+    # [lo, hi) pairs its events with the ones just before them.
+    steps = [(lo, min(lo + COUNT_BLOCK, n)) for lo in range(1, n, COUNT_BLOCK)]
     # bincount casts the codes it counts to int64, so they go a block at a
     # time; a block at least as long as the actor list keeps the counting
     # linear in the events.
@@ -368,7 +379,7 @@ def interevent_durations(events: Iterable[EventBatch]) -> tuple[DurationSample, 
     # at most 65536 actors the codes fit in 16 bits, which numpy sorts by
     # radix. A log already grouped by actor (codes never decrease, since
     # they number actors in first-seen order) is in that order already.
-    if np.any(codes[1:] < codes[:-1]):
+    if any(np.any(codes[lo:hi] < codes[lo - 1 : hi - 1]) for lo, hi in steps):
         if len(names) <= 1 << 16:
             codes = codes.astype(np.uint16)
         order = np.argsort(codes, kind="stable")
@@ -377,22 +388,28 @@ def interevent_durations(events: Iterable[EventBatch]) -> tuple[DurationSample, 
         del order
     else:
         del codes
-    # Actor k's events sit at [ends[k] - sizes[k], ends[k]). Zeroing the
-    # step from each actor's last event to the next actor's first masks
-    # it out; the n - actors gaps within actors are counted.
+    # Actor k's events sit at [ends[k] - sizes[k], ends[k]). A stamp below
+    # the one before it is out of file order unless it is the first of an
+    # actor; the descents are counted before any stamp is overwritten.
     ends = np.cumsum(sizes)
-    gaps = np.diff(stamps)
-    gaps[ends[:-1] - 1] = 0.0
-    if np.any(gaps < 0):
+    firsts = ends[:-1]
+    descents = sum(np.count_nonzero(stamps[lo:hi] < stamps[lo - 1 : hi - 1]) for lo, hi in steps)
+    if descents > np.count_nonzero(stamps[firsts] < stamps[firsts - 1]):
         # Some actor's stamps are out of file order: sort them within
         # each actor, as one lexsort by (actor, timestamp) would.
-        del gaps
         actor = np.repeat(np.arange(len(names), dtype=np.int32), sizes)
         stamps = stamps[np.lexsort((stamps, actor))]
         del actor
-        gaps = np.diff(stamps)
-        gaps[ends[:-1] - 1] = 0.0
+    # Each gap is written over the later of its two stamps. The blocks go
+    # from the end, so each still reads the stamp before it unchanged;
+    # within a block numpy buffers the overlapping operand.
+    for lo, hi in reversed(steps):
+        np.subtract(stamps[lo:hi], stamps[lo - 1 : hi - 1], out=stamps[lo:hi])
+    gaps = stamps[1:]
     del stamps
+    # Zeroing the step from each actor's last event to the next actor's
+    # first masks it out; the n - actors gaps within actors are counted.
+    gaps[firsts - 1] = 0.0
     # No gap is negative now, so the nonzero ones are the positive ones.
     emitted = int(np.count_nonzero(gaps))
     summary.zero_gaps_dropped = n - len(names) - emitted
@@ -422,25 +439,30 @@ def read_durations_text(stream: TextIO, workers: int = 1) -> DurationSample:
     else:
         fd, size = file
 
-        def read_range(lo: int, hi: int) -> tuple[np.ndarray, int]:
+        def range_values(lo: int, hi: int) -> Iterator[tuple[np.ndarray, int]]:
+            """The values and malformed-line count of each block of the
+            lines that start in [lo, hi)."""
             # A line starts at 0 or just after a newline byte.
             lo, hi = (_after_newline(fd, pos - 1, size) if pos else 0 for pos in (lo, hi))
-            parts, bad = [], 0
             for block in _line_blocks(fd, lo, hi):
                 part = _decimal_lines(block)
-                if part is None:
+                if part is not None:
+                    yield part, 0
+                else:
                     lines = array("d")
-                    bad += _read_lines(_decoded(stream, block), lines)
-                    part = np.frombuffer(lines, dtype=float)
-                parts.append(part)
-            return _joined(parts), bad
+                    bad = _read_lines(_decoded(stream, block), lines)
+                    yield np.frombuffer(lines, dtype=float), bad
+
+        def read_range(lo: int, hi: int) -> list[tuple[np.ndarray, int]]:
+            return list(range_values(lo, hi))
 
         workers = usable_workers(workers) if size >= POOL_MIN_BYTES else 1
         ranges = even_ranges(size, workers * RANGES_PER_WORKER if workers > 1 else 1)
-        parts = list(run_ranges(read_range, ranges, workers))
-        bad = sum(part_bad for _, part_bad in parts)
-        values = _joined([part for part, _ in parts])
-        del parts
+        # A worker sends its range's blocks back at once; in this process
+        # each block is gathered as it is read.
+        task = read_range if workers > 1 else range_values
+        parts = chain.from_iterable(run_ranges(task, ranges, workers))
+        values, bad = _gathered(parts, _line_bound(fd, size))
     if not values.size:
         raise ValueError("no durations in input")
     if bad > values.size:
@@ -450,14 +472,37 @@ def read_durations_text(stream: TextIO, workers: int = 1) -> DurationSample:
     return DurationSample(values)
 
 
-def _joined(parts: list[np.ndarray]) -> np.ndarray:
-    return parts[0] if len(parts) == 1 else np.concatenate(parts or [np.empty(0)])
+def _line_bound(fd: int, size: int) -> int:
+    """An upper bound on the values of the file's lines: one a newline or
+    CR byte (a line end under universal newlines), and one for a last line
+    without an end."""
+    bound = 1
+    for block in _blocks(fd, 0, size, BLOCK_BYTES):
+        raw = np.frombuffer(block, np.uint8)
+        bound += int(np.count_nonzero(raw == 10)) + int(np.count_nonzero(raw == 13))
+    return bound
+
+
+def _gathered(parts: Iterable[tuple[np.ndarray, int]], bound: int) -> tuple[np.ndarray, int]:
+    """The values of ``parts``, (values, malformed lines) pairs of at most
+    ``bound`` values in all, each copied as it comes into one float64
+    array; and the sum of their malformed lines."""
+    values = np.empty(bound)
+    end = bad = 0
+    for part, part_bad in parts:
+        values[end : end + part.size] = part
+        end += part.size
+        bad += part_bad
+    # In place: gives back the room that blank, malformed or CRLF lines kept.
+    values.resize(end, refcheck=False)
+    return values, bad
 
 
 def _decimal_lines(block: bytes) -> np.ndarray | None:
     """The value of every line of ``block`` if each is ``digits[.digits]``
     (see ``floattext.decimal_values``); else None. The lines go to the
-    kernel ``CHUNK_ROWS`` at a time, which bounds its temporaries."""
+    kernel ``CHUNK_ROWS`` at a time, fewer than a ``BLOCK_BYTES`` block
+    of short lines holds, which bounds its temporaries."""
     if not block.endswith(b"\n"):
         block += b"\n"  # the file's last line
     raw = np.frombuffer(block, np.uint8)

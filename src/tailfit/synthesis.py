@@ -7,10 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-# Imported at start-up: numpy loads numpy.random only when first used,
-# and the bootstrap's forked workers would each load it on their first
-# replicate.
-from numpy.random import PCG64, Generator, SeedSequence
 
 from .distributions import LognormalModel, PowerLawModel
 from .sample import DurationSample
@@ -26,10 +22,18 @@ class SeededGenerator:
 
     seed: int
 
-    def rng(self) -> Generator:
+    # numpy.random is imported by the first draw, not at start-up: it
+    # costs about 6 MB and 15 ms, and only commands that draw need it.
+    # The bootstrap loads it before forking its workers (see
+    # ``estimation._bootstrap``).
+    def rng(self) -> np.random.Generator:
+        from numpy.random import PCG64, Generator
+
         return Generator(PCG64(self.seed))
 
-    def substream(self, index: int) -> Generator:
+    def substream(self, index: int) -> np.random.Generator:
+        from numpy.random import PCG64, Generator, SeedSequence
+
         # spawn_key keeps substream 0 distinct from the root stream
         # (appending the index to the entropy would not: trailing zeros
         # are absorbed by the seed-sequence pool).

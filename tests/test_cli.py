@@ -526,7 +526,9 @@ class TestStartup:
     """No subcommand imports scipy: the normal kernels are tailfit.normal's
     and the truncated fit is solved with numpy; only the binned fits and the
     EDF diagnostic, which no subcommand runs, import scipy.optimize. Nor does
-    any subcommand load numpy.ma, which nothing of tailfit needs."""
+    any subcommand load numpy.ma, which nothing of tailfit needs. numpy.random
+    is loaded only by the subcommands that draw (simulate, and fit's
+    bootstrap), and the bootstrap loads it before it forks its workers."""
 
     @pytest.fixture(scope="class")
     def workdir(self, tmp_path_factory):
@@ -541,36 +543,50 @@ class TestStartup:
         return path
 
     @pytest.mark.parametrize(
-        "args",
+        "args, draws",
         [
-            None,
-            ["ingest", "--events", "events.csv", "--output", "d.txt", "--summary", "s.json"],
-            ["simulate", "powerlaw", "--seed", "1", "--output", "p.txt"],
-            ["bin", "--input", "sample.txt", "--log-bins", "5", "--output", "h.csv"],
-            ["fit", "--input", "sample.txt", "--output", "f.json"],
-            ["fit", "--input", "sample.txt", "--xmin", "150", "--output", "fx.json"],
-            ["--threads", "2", "fit", "--input", "readme.txt", "--quantize", "3600",
-             "--bootstrap", "100", "--output", "fb.json"],
-            ["compare", "--input", "sample.txt", "--output", "c.json"],
-            ["report", "fit.json", "--output", "r.md"],
+            (None, False),
+            (["ingest", "--events", "events.csv", "--output", "d.txt", "--summary", "s.json"],
+             False),
+            (["simulate", "powerlaw", "--seed", "1", "--output", "p.txt"], True),
+            (["bin", "--input", "sample.txt", "--log-bins", "5", "--output", "h.csv"], False),
+            (["fit", "--input", "sample.txt", "--output", "f.json"], False),
+            (["fit", "--input", "sample.txt", "--xmin", "150", "--output", "fx.json"], False),
+            (["--threads", "2", "fit", "--input", "readme.txt", "--quantize", "3600",
+              "--bootstrap", "100", "--output", "fb.json"], True),
+            (["compare", "--input", "sample.txt", "--output", "c.json"], False),
+            (["report", "fit.json", "--output", "r.md"], False),
         ],
         ids=["import", "ingest", "simulate", "bin", "fit", "fit-xmin", "fit-bootstrap",
              "compare", "report"],
     )
-    def test_leaves_scipy_optimize_out(self, workdir, args):
-        code = "import sys\nimport tailfit\nimport tailfit.cli\n"
+    def test_leaves_scipy_optimize_out(self, workdir, args, draws):
+        # A spy on the bootstrap's run_ranges records whether numpy.random
+        # is loaded each time it is called, before any worker forks.
+        code = (
+            "import sys\nimport tailfit\nimport tailfit.cli\n"
+            "print('numpy.random' in sys.modules)\n"
+            "from tailfit import estimation\n"
+            "loaded, run_ranges = [], estimation.run_ranges\n"
+            "def spy(*args):\n"
+            "    loaded.append('numpy.random' in sys.modules)\n"
+            "    return run_ranges(*args)\n"
+            "estimation.run_ranges = spy\n"
+        )
         if args is not None:
             code += f"assert tailfit.cli.main({args!r}) == 0\n"
         code += (
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),"
-            " 'numpy.ma' in sys.modules)\n"
+            " 'numpy.ma' in sys.modules, 'numpy.random' in sys.modules, loaded)\n"
         )
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tailfit.__file__)))
         done = subprocess.run(
             [sys.executable, "-c", code], cwd=workdir, env=env, capture_output=True, text=True
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout == "[] False\n"
+        # fit runs a power-law and a lognormal bootstrap.
+        loaded = [True, True] if "--bootstrap" in (args or []) else []
+        assert done.stdout == f"False\n[] False {draws} {loaded}\n"
 
 
 class TestCompare:

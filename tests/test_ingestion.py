@@ -210,11 +210,14 @@ class TestIntereventDurations:
 
     def test_peak_memory_on_grouped_log(self):
         # 10^6 events of 200 actors, grouped by actor, in batches of
-        # CHUNK_ROWS rows. The stage may hold the columns, 12 bytes an
-        # event (a float64 stamp and an int32 code), and one array of
-        # gaps, 8 bytes an event, and nothing else event-sized. The
-        # columns grow up to 1/16 past their size; that room fits in the
-        # codes column, which is freed before the gaps are taken.
+        # CHUNK_ROWS rows. The stage holds the columns, 12 bytes an event
+        # (a float64 stamp and an int32 code), which grow up to 1/16 past
+        # their size, and takes the gaps in place in the stamps column; so
+        # nothing else event-sized. The passes over the columns take at
+        # most 16 bytes a COUNT_BLOCK event (an int64 copy of the codes,
+        # or a float64 copy of the stamps, and a bool mask), and a batch
+        # at most 32 bytes a CHUNK_ROWS row (its codes, their int64 sort
+        # order and copies) on top of that.
         n, actors = 10**6, 200
         rng = np.random.default_rng(19)
         codes = np.repeat(np.arange(actors, dtype=np.int32), n // actors)
@@ -238,7 +241,43 @@ class TestIntereventDurations:
         gaps = np.diff(stamps.reshape(actors, -1), axis=1)
         np.testing.assert_array_equal(sample.values, np.sort(gaps[gaps > 0]))
         assert summary.durations_emitted + summary.zero_gaps_dropped == n - actors
-        assert peak <= (12 + 8) * n
+        assert peak <= 12 * n * 17 // 16 + 16 * ingestion.COUNT_BLOCK + 32 * ingestion.CHUNK_ROWS
+
+    @pytest.mark.parametrize("grouped", [True, False])
+    @pytest.mark.parametrize("late", [0, 1, 2])
+    def test_out_of_order_stamps_match_lexsort(self, grouped, late):
+        # Stamps out of file order within actors, over several gap blocks:
+        # the descents lie in the first block only (late=0), at the start
+        # of the last one (late=1), or right at a block boundary (late=2).
+        # The gaps are written over the stamps from the last block back,
+        # so the lexsort route must be chosen before any is written.
+        block, actors = ingestion.COUNT_BLOCK, 7
+        n = 3 * block + 123
+        rng = np.random.default_rng(23 + late)
+        codes = np.repeat(np.arange(actors, dtype=np.int32), -(-n // actors))[:n]
+        stamps = np.cumsum(np.round(rng.exponential(1.0, n), 1))  # ties give zero gaps
+        at = [5, 3 * block + 2, 2 * block][late]
+        stamps[at], stamps[at + 1] = stamps[at + 1] + 0.5, stamps[at]
+        if not grouped:
+            shuffle = rng.permutation(n)
+            codes, stamps = codes[shuffle], stamps[shuffle]
+        # The reference: one lexsort by (actor, timestamp), one diff.
+        order = np.lexsort((stamps, codes))
+        ref_stamps, ref_codes = stamps[order], codes[order]
+        within = ref_codes[1:] == ref_codes[:-1]
+        ref_gaps = np.diff(ref_stamps)[within]
+        names = [f"u{k}" for k in range(actors)]
+        with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+            sample, summary = interevent_durations([EventBatch(stamps, codes, names, n, 0)])
+        assert lexsort.call_count == 1
+        np.testing.assert_array_equal(sample.values, np.sort(ref_gaps[ref_gaps > 0]))
+        assert summary.to_dict() == {
+            "events_read": n,
+            "events_dropped": 0,
+            "actors": actors,
+            "durations_emitted": int(np.count_nonzero(ref_gaps)),
+            "zero_gaps_dropped": int(np.count_nonzero(ref_gaps == 0)),
+        }
 
     def test_direction_filter(self):
         sample, summary = interevent_durations(parse_events(io.StringIO(CSV), "outbound"))
@@ -472,6 +511,35 @@ class TestDurationIO:
     def test_text_empty_raises(self):
         with pytest.raises(ValueError):
             read_durations_text(io.StringIO(""))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_text_peak_memory(self, tmp_path, workers):
+        # 10^6 durations of about 18 characters a line, read in blocks of
+        # B = 256 KiB. The reader holds one float64 array, 8 bytes a line
+        # of the file, and one range in flight. In this process that is
+        # one block: its bytes, as read, joined with the carry and cut (3B),
+        # its line offsets and values (32 bytes a line of at least 18
+        # bytes, under 2B) and the kernel's temporaries on CHUNK_ROWS lines
+        # (an index and a few bytes a character, under 8B): under 16B in
+        # all. From two workers it is at most a range of each, an eighth
+        # of the lines, as pickled bytes and as values: 4 bytes a line in
+        # all, and the line count's block and mask (2B).
+        n, block = 10**6, 1 << 18
+        path = tmp_path / "durations.txt"
+        values = np.exp(np.random.default_rng(5).normal(4.0, 1.0, n))
+        with open(path, "w") as fh:
+            write_durations_text(DurationSample(values), fh)
+        extra = 16 * block if workers == 1 else 4 * n + 2 * block
+        with mock.patch.object(pool, "_usable_cpus", lambda: 2), \
+                mock.patch.object(ingestion, "BLOCK_BYTES", block), open(path) as fh:
+            tracemalloc.start()
+            try:
+                sample = read_durations_text(fh, workers)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        np.testing.assert_array_equal(sample.values, np.sort(values))
+        assert peak <= 8 * n + extra
 
 
 def on_disk(data: bytes, run):
