@@ -13,7 +13,6 @@ from .estimation import (
     bootstrap_pvalue,
     compare_families,
     fit_binned,
-    fit_edf_normal,
     fit_lognormal,
     fit_powerlaw_tail,
     ks_distance,
@@ -51,7 +50,6 @@ __all__ = [
     "compare_families",
     "expected_counts",
     "fit_binned",
-    "fit_edf_normal",
     "fit_lognormal",
     "fit_powerlaw_tail",
     "interevent_durations",

@@ -12,9 +12,8 @@ bodies resampled from the empirical data below the cutoff; their
 replicates can run in forked worker processes without changing p.
 
 The normal cdf, its logarithm and its inverse come from ``tailfit.normal``
-(numpy only). scipy is imported only by the binned fits and the EDF
-diagnostic, which need ``scipy.optimize``, when they run; no command-line
-path calls them.
+(numpy only). scipy is imported only by the binned fits, which need
+``scipy.optimize``, when they run; no command-line path calls them.
 """
 from __future__ import annotations
 
@@ -113,19 +112,6 @@ class ComparisonReport:
     lognormal: FitReport
 
 
-@dataclass(frozen=True)
-class EdfNormalFit:
-    """Least-squares fit of a normal cdf to the EDF of the log-durations."""
-
-    mu: float
-    sigma: float
-    mle_mu: float
-    mle_sigma: float
-    deviation: float
-    misfit: bool
-    low_confidence: bool
-
-
 def _edf_gap(levels: np.ndarray, f: np.ndarray) -> tuple[float, int]:
     """The KS kernel: max |levels - f| over EDF levels and cdf values, and its
     first index. ``levels`` is overwritten.
@@ -151,49 +137,67 @@ KS_SLACK = 2.0**-48
 def ks_distance(sample, cdf, slack: float = KS_SLACK) -> float:
     """sup over sample points of max(|EDF(x-) - F(x)|, |EDF(x) - F(x)|).
 
-    A ``DurationSample``, or an array already in ascending order, is used
-    as it is; any other array is sorted first. ``cdf`` acts elementwise
-    and is nondecreasing up to ``slack``. The sample is taken as runs of
-    equal values (every point a run of its own when all differ): the cdf
-    is evaluated at most once per run, and the result is the maximum over
-    every point bit for bit (see ``_runs_ks``), and the cdf is evaluated
-    only where that maximum can be (see ``_pruned_ks``).
+    ``sample`` is a ``DurationSample`` or a nonempty 1-d array of finite
+    values, used as it is if already in ascending order and sorted first
+    otherwise. ``cdf`` acts elementwise and is nondecreasing up to
+    ``slack``. The sample is taken as runs of equal values (``_runs``):
+    the cdf is evaluated at most once per run, and the result is the
+    maximum over every point bit for bit (see ``_runs_ks``), and the cdf
+    is evaluated only where that maximum can be (see ``_pruned_ks``).
     """
     if isinstance(sample, DurationSample):
         values = sample.values
     else:
         values = np.asarray(sample, dtype=float)
+        if values.ndim != 1:
+            raise ValueError(f"need a 1-d sample, got shape {values.shape}")
         if not _is_sorted(values):
             values = np.sort(values)
-    n = values.size
-    if n < 1:
+    if values.size < 1:
         raise ValueError("need at least one point")
-    new_run = values[1:] != values[:-1]
+    # Sorted, a NaN or +inf comes last and -inf first.
+    if not (math.isfinite(values[0]) and math.isfinite(values[-1])):
+        raise ValueError("sample values must be finite")
+    return _pruned_ks(_runs(values), cdf, slack)
+
+
+def _runs(x: np.ndarray):
+    """The runs of equal values of the nonempty ascending array x, as
+    (values, first, ends, n): each run's value, the indices into x where
+    the runs start and end, and x's size. ``first`` and ``ends`` are None
+    when every value is distinct: run r is then x[r] alone, and the three
+    arrays would be n-sized copies of x and of two aranges.
+    """
+    n = x.size
+    new_run = x[1:] != x[:-1]
     if np.count_nonzero(new_run) == n - 1:
-        first = None  # every point is a run
-    else:
-        first = np.flatnonzero(np.concatenate(([True], new_run)))  # run starts
-        values = values[first]
+        return x, None, None, n
+    first = np.flatnonzero(np.concatenate(([True], new_run)))
     del new_run
-    return _pruned_ks(values, first, n, cdf, slack)
+    return x[first], first, np.append(first[1:], n), n
 
 
-def _run_counts(first, n, r) -> tuple[np.ndarray, np.ndarray]:
-    """The number of points below each run r and up to its end, for runs
-    starting at the indices ``first`` of n points (every point a run if
-    ``first`` is None)."""
+def _run_bounds(view, r) -> tuple[np.ndarray, np.ndarray]:
+    """The start and end indices into x of the runs r of ``_runs(x)``:
+    the number of points below each run and up to its end."""
+    _, first, ends, _ = view
+    return (r, r + 1) if first is None else (first[r], ends[r])
+
+
+def _tail_counts(view, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_run_bounds`` of every run from run r on, counted from run r's
+    start: the tail at that run as runs, taken by slicing."""
+    _, first, ends, n = view
     if first is None:
-        return r, r + 1
-    nxt = r + 1
-    upto = first[np.minimum(nxt, first.size - 1)]
-    upto[nxt == first.size] = n
-    return first[r], upto
+        below = np.arange(n - r)
+        return below, below + 1
+    i = first[r]
+    return first[r:] - i, ends[r:] - i
 
 
-def _pruned_ks(x, first, n, cdf, slack, block: int = KS_BLOCK_RUNS) -> float:
-    """``_runs_ks`` of the runs with values x (ascending; their starts
-    ``first`` in n points, as for ``_run_counts``), with the cdf evaluated
-    only where its largest term can be.
+def _pruned_ks(view, cdf, slack, block: int = KS_BLOCK_RUNS) -> float:
+    """``_runs_ks`` of the runs ``view`` (see ``_runs``), with the cdf
+    evaluated only where its largest term can be.
 
     The grid is every ``block``-th run and the last. Between grid runs g
     and h, every run r holds F(g) <= F(r) <= F(h) and
@@ -206,11 +210,12 @@ def _pruned_ks(x, first, n, cdf, slack, block: int = KS_BLOCK_RUNS) -> float:
     up to ``slack``. The largest term, of the grid or of those runs, is
     the largest of all, bit for bit.
     """
+    x, n = view[0], view[3]
     runs = x.size
     g = np.arange(0, runs + block - 1, block)
     g[-1] = runs - 1
     f = np.asarray(cdf(x[g]), dtype=float)
-    below, upto = _run_counts(first, n, g)
+    below, upto = _run_bounds(view, g)
     lo, hi = below / n, upto / n
     bound = np.maximum(lo[1:] - f[:-1], f[1:] - hi[:-1])
     best = max(_edf_gap(lo, f)[0], _edf_gap(hi, f)[0])
@@ -221,7 +226,7 @@ def _pruned_ks(x, first, n, cdf, slack, block: int = KS_BLOCK_RUNS) -> float:
         offsets = np.cumsum(sizes) - sizes
         r = np.arange(int(sizes.sum())) + np.repeat(starts - offsets, sizes)
         f = np.asarray(cdf(x[r]), dtype=float)
-        best = max(best, _runs_ks(f, *_run_counts(first, n, r), n)[0])
+        best = max(best, _runs_ks(f, *_run_bounds(view, r), n)[0])
     return best
 
 
@@ -333,8 +338,9 @@ def fit_powerlaw_tail(
         _check_xmin(xmin)
         return _powerlaw_fit_at(x, int(np.searchsorted(x, xmin)), float(xmin), n)
 
-    new_run = x[1:] != x[:-1]
-    n_runs = 1 + int(np.count_nonzero(new_run))
+    view = _runs(x)
+    run_x, first, _, _ = view
+    n_runs = run_x.size
     if n_runs < 2:
         raise DegenerateSampleError("all sample values are equal")
     if n_runs < min_tail:
@@ -342,20 +348,6 @@ def fit_powerlaw_tail(
             f"need at least {min_tail} distinct values for cutoff selection "
             f"(got {n_runs})"
         )
-    if n_runs == n:
-        # Every value distinct: run r is x[r] alone, and the run arrays
-        # would be n-sized copies of x and of an arange.
-        first = ends = None
-        run_x = x
-    else:
-        first = np.flatnonzero(np.concatenate(([True], new_run)))  # run starts
-        ends = np.append(first[1:], n)
-        run_x = x[first]
-    del new_run
-
-    def run_bounds(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The start and end indices into x of the runs r."""
-        return (r, r + 1) if first is None else (first[r], ends[r])
 
     # Candidate cutoffs are the starts of the runs that leave a tail of
     # at least min_tail values.
@@ -369,7 +361,7 @@ def fit_powerlaw_tail(
     if eligible > max_candidates:
         pick = np.linspace(0, eligible - 1, max_candidates).astype(int)
         runs = pick[np.diff(pick, prepend=-1) != 0]  # pick ascends
-    candidates = run_bounds(runs)[0]
+    candidates = _run_bounds(view, runs)[0]
 
     log_x = np.log(x)
     suffix = np.concatenate([np.cumsum(log_x[::-1])[::-1], [0.0]])
@@ -384,20 +376,17 @@ def fit_powerlaw_tail(
 
     stride = max(1, n_runs // KS_GRID_RUNS)
     lb = _ks_lower_bounds(
-        x, *run_bounds(np.arange(0, n_runs, stride)), candidates, m, gammas
+        x, *_run_bounds(view, np.arange(0, n_runs, stride)), candidates, m, gammas
     )
     best_ks, best = np.inf, -1
     for _ in range(candidates.size):
         k = int(np.argmin(lb))  # scored candidates hold an infinite bound
         if lb[k] > best_ks:
             break
-        r, i = runs[k], candidates[k]
-        if first is None:
-            below = np.arange(n - i)
-            upto = below + 1
-        else:
-            below, upto = first[r:] - i, ends[r:] - i
-        ks, p_lo, p_hi = _powerlaw_tail_ks(run_x[r:], below, upto, run_x[r], gammas[k])
+        r = runs[k]
+        ks, p_lo, p_hi = _powerlaw_tail_ks(
+            run_x[r:], *_tail_counts(view, r), run_x[r], gammas[k]
+        )
         if ks < best_ks or (ks == best_ks and k < best):
             best_ks, best = ks, k
         lb[k] = np.inf
@@ -407,7 +396,9 @@ def fit_powerlaw_tail(
         cols = np.array(sorted({int(r) + p_lo, int(r) + p_hi}))
         lb[open_] = np.maximum(
             lb[open_],
-            _ks_lower_bounds(x, *run_bounds(cols), candidates[open_], m[open_], gammas[open_]),
+            _ks_lower_bounds(
+                x, *_run_bounds(view, cols), candidates[open_], m[open_], gammas[open_]
+            ),
         )
     i = int(candidates[best])
     return _powerlaw_report(float(gammas[best]), float(x[i]), n - i, n, best_ks, suffix[i])
@@ -427,7 +418,8 @@ def _powerlaw_fit_at(x: np.ndarray, i: int, xmin: float, n: int) -> FitReport:
     if log_ratio_sum <= 0:
         raise DegenerateSampleError("tail has no spread above the cutoff")
     gamma = 1.0 + m / log_ratio_sum
-    ks, _, _ = _powerlaw_tail_ks(tail, np.arange(m), np.arange(1, m + 1), xmin, gamma)
+    view = _runs(tail)
+    ks, _, _ = _powerlaw_tail_ks(view[0], *_tail_counts(view, 0), xmin, gamma)
     return _powerlaw_report(gamma, xmin, m, n, ks, float(np.sum(np.log(tail))))
 
 
@@ -945,9 +937,10 @@ def compare_families(
 
     ``powerlaw`` and ``lognormal`` may pass in the caller's own
     ``fit_powerlaw_tail(s, xmin=xmin)`` and ``fit_lognormal(s, xmin=xmin)``,
-    which are then not computed again.
+    which are then not computed again. ``threshold`` is as for ``verdict``.
     """
     _check_xmin(xmin)
+    _check_threshold(threshold)
     tail = s.values[int(np.searchsorted(s.values, xmin)):]
     m = tail.size
     if m < 2:
@@ -978,13 +971,20 @@ def compare_families(
 def verdict(lr: float | None, p: float | None, threshold: float = VERDICT_THRESHOLD) -> str:
     """The family a log-likelihood ratio lr favors when its Vuong p is below
     ``threshold``, by the sign of lr; "undecided" otherwise or if either is None.
+    The threshold is a probability strictly between 0 and 1.
     """
+    _check_threshold(threshold)
     if lr is not None and p is not None and p < threshold:
         if lr > 0:
             return "powerlaw"
         if lr < 0:
             return "lognormal"
     return "undecided"
+
+
+def _check_threshold(threshold: float) -> None:
+    if not 0 < threshold < 1:
+        raise ValueError(f"threshold must lie strictly between 0 and 1, got {threshold!r}")
 
 
 def fit_binned(h: Histogram, family: str, min_tail: int = DEFAULT_MIN_TAIL) -> FitReport:
@@ -1117,36 +1117,3 @@ def _binned_powerlaw_gamma(edges, counts, xmin):
     gamma = float(res.x)
     return gamma, float(-res.fun), _binned_ks(PowerLawModel(gamma, xmin), edges, counts)
 
-
-def fit_edf_normal(s: DurationSample, tolerance: float = 0.05) -> EdfNormalFit:
-    """Least-squares fit of a normal cdf to the EDF of ln(values).
-
-    On well-specified lognormal data this agrees with the closed-form MLE;
-    a deviation above ``tolerance`` flags model misfit (e.g. a small-value
-    excess the MLE absorbs but the EDF shape exposes).
-    """
-    from scipy import optimize
-
-    logs, mle_mu, mle_sigma = _log_moments(s.values)
-    targets = (np.arange(1, s.n + 1) - 0.5) / s.n
-
-    def residuals(theta):
-        mu, log_sigma = theta
-        return ndtr((logs - mu) / math.exp(log_sigma)) - targets
-
-    res = optimize.least_squares(
-        residuals, x0=np.array([mle_mu, math.log(mle_sigma)]), method="lm"
-    )
-    if not res.success:
-        raise FitConvergenceError(f"EDF least-squares failed: {res.message}")
-    mu, sigma = float(res.x[0]), float(math.exp(res.x[1]))
-    deviation = max(abs(mu - mle_mu), abs(sigma - mle_sigma))
-    return EdfNormalFit(
-        mu=mu,
-        sigma=sigma,
-        mle_mu=mle_mu,
-        mle_sigma=mle_sigma,
-        deviation=deviation,
-        misfit=deviation > tolerance,
-        low_confidence=s.n < 10,
-    )

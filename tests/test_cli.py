@@ -355,6 +355,13 @@ class TestFit:
             ("fit", "--xmin", "nan", "xmin"),
             ("fit", "--xmin", "inf", "xmin"),
             ("compare", "--xmin", "nan", "xmin"),
+            # Vuong p is a probability: 2 once gave a verdict at p 0.91,
+            # and nan or -1 never one.
+            ("compare", "--threshold", "2", "threshold"),
+            ("compare", "--threshold", "1", "threshold"),
+            ("compare", "--threshold", "0", "threshold"),
+            ("compare", "--threshold", "-1", "threshold"),
+            ("compare", "--threshold", "nan", "threshold"),
             ("fit", "--quantize", "inf", "quantization step"),
             ("fit", "--quantize", "nan", "quantization step"),
             ("fit", "--rescale", "nan", "scale factor"),
@@ -372,7 +379,10 @@ class TestFit:
             err = "degenerate-data: no values at or above the requested cutoff"
             assert got == (2, "", f"error: {err}\n")
         else:
-            err = f"invalid-input: {name} must be finite and positive, got {float(value)!r}"
+            bounds = (
+                "lie strictly between 0 and 1" if name == "threshold" else "be finite and positive"
+            )
+            err = f"invalid-input: {name} must {bounds}, got {float(value)!r}"
             assert got == (1, "", f"error: {err}\n")
 
     @pytest.mark.parametrize(

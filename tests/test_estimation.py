@@ -28,7 +28,6 @@ from tailfit import (
     compare_families,
     expected_counts,
     fit_binned,
-    fit_edf_normal,
     fit_lognormal,
     fit_powerlaw_tail,
     ks_distance,
@@ -287,6 +286,48 @@ class TestEdf:
             assert np.all(evaluated[1:] > evaluated[:-1])
             assert np.isin(evaluated, runs).all()
 
+    @pytest.mark.parametrize(
+        "values, problem",
+        [
+            ([1.0, np.nan], "finite"),
+            ([np.nan, 1.0], "finite"),
+            ([np.nan], "finite"),
+            ([2.0, np.inf, 1.0], "finite"),
+            ([-np.inf, 1.0], "finite"),
+            ([[1.0, 2.0], [3.0, 4.0]], "1-d"),
+            ([[1.0]], "1-d"),
+            (1.0, "1-d"),
+            ([], "at least one point"),
+        ],
+    )
+    def test_ks_rejects_bad_arrays(self, values, problem):
+        # A NaN once came back as the distance, and a 2-d array leaked
+        # numpy's message on mismatched dimensions.
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            ks_distance(values, LognormalModel(0.0, 1.0).cdf)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scan_inputs())
+    def test_runs_view_rebuilds_sample(self, case):
+        # The one runs-of-ties view that ks_distance, the cutoff scan and
+        # the fixed-cutoff fit read: ascending run values whose bounds
+        # rebuild x, and no index arrays when every value is distinct.
+        s, _ = case
+        x = s.values
+        view = estimation._runs(x)
+        values, first, ends, n = view
+        assert n == x.size
+        distinct = np.unique(x).size == x.size
+        assert (first is None) == distinct and (ends is None) == distinct
+        starts, stops = estimation._run_bounds(view, np.arange(values.size))
+        assert np.array_equal(np.repeat(values, stops - starts), x)
+        assert np.array_equal(values, x[starts])
+        assert np.all(values[1:] > values[:-1])
+        for r in {0, values.size // 2, values.size - 1}:
+            below, upto = estimation._tail_counts(view, r)
+            assert np.array_equal(below, starts[r:] - starts[r])
+            assert np.array_equal(upto, stops[r:] - starts[r])
+
     def test_ks_does_not_modify_input(self):
         x = np.array([3.0, 1.0, 2.0])
         ks_distance(x, lambda t: t / 3.0)
@@ -347,10 +388,7 @@ class TestEdf:
         first = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
         below, upto = first, np.append(first[1:], n)
         full = estimation._runs_ks(cdf(x[first]), below, upto, n)[0]
-        untied = first.size == n
-        pruned = estimation._pruned_ks(
-            x if untied else x[first], None if untied else first, n, cdf, slack, block
-        )
+        pruned = estimation._pruned_ks(estimation._runs(x), cdf, slack, block)
         assert pruned == full
 
     def test_ks_peak_memory_on_sorted_input(self):
@@ -851,6 +889,14 @@ class TestCompareFamilies:
     def test_verdict(self, lr, p, want):
         assert verdict(lr, p) == want
 
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, 2.0, -1.0, math.nan])
+    def test_threshold_outside_unit_interval(self, threshold):
+        s = sample_lognormal(LognormalModel(2.0, 1.0), 200, SeededGenerator(133))
+        with pytest.raises(ValueError, match="threshold must lie strictly between 0 and 1"):
+            verdict(-2.0, 0.5, threshold)
+        with pytest.raises(ValueError, match="threshold must lie strictly between 0 and 1"):
+            compare_families(s, float(np.median(s.values)), threshold=threshold)
+
 
 class TestBinnedFit:
     def binned_from_model(self, model, edges, n, seed):
@@ -937,30 +983,6 @@ class TestBinnedFit:
         fit = fit_binned(h, "powerlaw")
         p = bootstrap_pvalue_binned(h, fit, 100, SeededGenerator(144)).p
         assert p > 0.05
-
-
-class TestEdfNormalFit:
-    def test_agrees_with_mle_on_clean_data(self):
-        s = sample_lognormal(LognormalModel(4.0, 1.2), 5_000, SeededGenerator(150))
-        fit = fit_edf_normal(s)
-        assert not fit.misfit
-        assert not fit.low_confidence
-        assert fit.mu == pytest.approx(fit.mle_mu, abs=0.05)
-        assert fit.sigma == pytest.approx(fit.mle_sigma, abs=0.05)
-
-    def test_flags_contaminated_data(self):
-        # A heavy small-value excess drags the MLE away from the EDF shape.
-        g = SeededGenerator(151)
-        clean = sample_lognormal(LognormalModel(4.0, 0.5), 4_000, g)
-        excess = np.full(2_000, 1e-4)
-        s = DurationSample(np.concatenate([clean.values, excess]))
-        fit = fit_edf_normal(s)
-        assert fit.misfit
-
-    def test_low_confidence_flag(self):
-        s = DurationSample(np.array([1.0, 2.0, 4.0, 9.0]))
-        fit = fit_edf_normal(s)
-        assert fit.low_confidence
 
 
 class TestReportSchema:
