@@ -15,6 +15,7 @@ from .estimation import (
     fit_binned,
     fit_lognormal,
     fit_powerlaw_tail,
+    fit_sample,
     ks_distance,
 )
 from .ingestion import EventBatch, IngestSummary, interevent_durations, parse_events
@@ -52,6 +53,7 @@ __all__ = [
     "fit_binned",
     "fit_lognormal",
     "fit_powerlaw_tail",
+    "fit_sample",
     "interevent_durations",
     "ks_distance",
     "parse_events",

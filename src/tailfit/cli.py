@@ -12,7 +12,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -221,18 +220,12 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _preprocess(sample: DurationSample, args) -> tuple[DurationSample, int | None]:
-    dropped = None
-    if getattr(args, "rescale", None) is not None:
-        sample = binning.rescale(sample, args.rescale)
-    if getattr(args, "quantize", None) is not None:
-        sample, dropped = binning.quantize(sample, args.quantize)
-    return sample, dropped
-
-
 def cmd_bin(args) -> int:
     sample = _read_sample(args.input, args.threads)
-    sample, _ = _preprocess(sample, args)
+    if args.rescale is not None:
+        sample = binning.rescale(sample, args.rescale)
+    if args.quantize is not None:
+        sample, _ = binning.quantize(sample, args.quantize)
     if args.log_bins is not None:
         hist = binning.bin_log(sample, args.log_bins)
     elif args.width is not None:
@@ -260,44 +253,12 @@ def _bins_of_width(sample: DurationSample, width: float) -> int:
 
 def cmd_fit(args) -> int:
     sample = _read_sample(args.input, args.threads)
-    sample, dropped = _preprocess(sample, args)
-    g = SeededGenerator(args.seed)
-
-    row = None
-    pl = ln = None
-    if args.dist in ("powerlaw", "both"):
-        pl = estimation.fit_powerlaw_tail(sample, xmin=args.xmin)
-        if args.bootstrap:
-            boot = estimation.bootstrap_pvalue(
-                sample, pl, args.bootstrap, g, quantize_step=args.quantize,
-                workers=args.threads,
-            )
-            pl = replace(pl, p_value=boot.p)
-        row = pl.to_json_dict(dist=args.label)
-    if args.dist in ("lognormal", "both"):
-        ln = estimation.fit_lognormal(sample, xmin=args.xmin)
-        if args.bootstrap:
-            boot = estimation.bootstrap_pvalue(
-                sample, ln, args.bootstrap, g, quantize_step=args.quantize,
-                workers=args.threads,
-            )
-            ln = replace(ln, p_value=boot.p)
-        ln_row = ln.to_json_dict(dist=args.label)
-        if row is None:
-            row = ln_row
-        else:
-            row["mu"], row["sigma"] = ln_row["mu"], ln_row["sigma"]
-            row["loglik_p"] = ln_row["loglik_p"]
-    if args.dist == "both":
-        # With --xmin both fits are the ones compare_families would make; the
-        # scan's power-law fit is not (its gamma comes from suffix sums).
-        fixed = args.xmin is not None
-        comparison = estimation.compare_families(
-            sample, pl.xmin, powerlaw=pl if fixed else None, lognormal=ln if fixed else None
-        )
-        row["LR"], row["LR_p"] = comparison.lr, comparison.p_value
-    if dropped is not None:
-        row["quantize_dropped"] = dropped
+    if args.rescale is not None:
+        sample = binning.rescale(sample, args.rescale)
+    row = estimation.fit_sample(
+        sample, args.dist, xmin=args.xmin, bootstrap=args.bootstrap, seed=args.seed,
+        quantize_step=args.quantize, workers=args.threads, label=args.label,
+    )
     _write_json(row, args.output)
     return EXIT_OK
 

@@ -116,9 +116,6 @@ class LognormalModel:
     def moments(self) -> tuple[float, float]:
         return self.mean(), self.variance()
 
-    def mode(self) -> float:
-        return math.exp(self.mu - self.sigma**2)
-
     def effective_exponent(self, t):
         """Local power-law slope alpha(t) = 1 + (ln t - 2 mu) / (2 sigma**2).
 
@@ -151,31 +148,21 @@ class LognormalModel:
         a0 = -math.log(math.sqrt(2.0 * math.pi) * self.sigma) - self.mu**2 / (2.0 * s2)
         return a2, a1, a0
 
-    def rescaled(self, b: float) -> "LognormalModel":
-        """Model of b*X: mu shifts by ln b, sigma is invariant."""
-        if b <= 0:
-            raise ValueError("scale factor must be positive")
-        return LognormalModel(self.mu + math.log(b), self.sigma)
-
 
 def powerlaw_logpdf_of_log(y, gamma: float, tau: float):
     """Power-law log-density log f(x) at y = ln x, for x >= tau; no domain check."""
     return math.log(gamma - 1.0) + (gamma - 1.0) * math.log(tau) - gamma * y
 
 
-def lognormal_logpdf_of_log(y, mu: float, sigma: float, out=None):
+def lognormal_logpdf_of_log(y, mu: float, sigma: float):
     """Lognormal log-density log phi(z) - log sigma - y at y = ln x, with
     z = (y - mu) / sigma; no domain check.
 
-    The float operations run in the order of that formula, in two arrays
-    shaped like y: ``out``, a pair of float64 arrays that are then
-    overwritten (z goes to the first, the result to the second, which is
-    returned), or two new ones.
+    The float operations run in the order of that formula, in two new
+    arrays shaped like y: z, then the result, which is returned.
     """
-    if out is None:
-        y = np.asarray(y, dtype=float)
-        out = np.empty_like(y), np.empty_like(y)
-    z, r = out
+    y = np.asarray(y, dtype=float)
+    z, r = np.empty_like(y), np.empty_like(y)
     np.subtract(y, mu, out=z)
     np.divide(z, sigma, out=z)
     np.multiply(-0.5, z, out=r)

@@ -23,6 +23,7 @@ from functools import partial
 
 import numpy as np
 
+from . import binning
 from .binning import Histogram
 from .distributions import (
     _LOG_SQRT_2PI,
@@ -35,6 +36,7 @@ from .distributions import (
 from .normal import log_ndtr_float, ndtr, ndtri_exp
 from .pool import RANGES_PER_WORKER, even_ranges, run_ranges, usable_workers
 from .sample import DurationSample, _is_sorted
+from .synthesis import SeededGenerator
 
 DEFAULT_MIN_TAIL = 50
 DEFAULT_MAX_CANDIDATES = 1000
@@ -54,7 +56,7 @@ class FitConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class FitReport:
-    """One fitted family on one sample (one row of a results table)."""
+    """One fitted family on one sample."""
 
     family: str  # "powerlaw" | "lognormal"
     params: tuple[float, float]  # (gamma, tau) or (mu, sigma)
@@ -63,37 +65,11 @@ class FitReport:
     ks: float
     loglik: float
     n_total: int
-    p_value: float | None = None
 
     def model(self):
         if self.family == "powerlaw":
             return PowerLawModel(*self.params)
         return LognormalModel(*self.params)
-
-    def to_json_dict(self, dist: str | None = None) -> dict:
-        """Columns dist, gamma, p, xmin, mu, sigma, loglik_p, LR, LR_p, n; absent
-        fields null. ``p`` is the power-law bootstrap p, ``loglik_p`` the
-        lognormal-side one; the comparison stage fills LR and its Vuong p LR_p.
-        """
-        row = {
-            "dist": dist or self.family,
-            "gamma": None,
-            "p": None,
-            "xmin": self.xmin,
-            "mu": None,
-            "sigma": None,
-            "loglik_p": None,
-            "LR": None,
-            "LR_p": None,
-            "n": self.n_total,
-        }
-        if self.family == "powerlaw":
-            row["gamma"], _ = self.params
-            row["p"] = self.p_value
-        else:
-            row["mu"], row["sigma"] = self.params
-            row["loglik_p"] = self.p_value
-        return row
 
 
 @dataclass(frozen=True)
@@ -985,6 +961,75 @@ def verdict(lr: float | None, p: float | None, threshold: float = VERDICT_THRESH
 def _check_threshold(threshold: float) -> None:
     if not 0 < threshold < 1:
         raise ValueError(f"threshold must lie strictly between 0 and 1, got {threshold!r}")
+
+
+def fit_sample(
+    s: DurationSample, dist: str = "both", xmin: float | None = None, bootstrap: int = 0,
+    seed: int = 0, quantize_step: float | None = None, workers: int = 1, label: str | None = None,
+) -> dict:
+    """The row ``tailfit fit`` writes for ``s``; each argument is one of
+    fit's options (``workers`` is --threads, ``quantize_step`` --quantize).
+
+    The sample is quantized first. The row has the keys dist, gamma, p,
+    xmin, mu, sigma, loglik_p, LR, LR_p and n, null where they do not
+    apply, and quantize_dropped when the sample was quantized. gamma and
+    xmin come from ``fit_powerlaw_tail``, mu and sigma from
+    ``fit_lognormal``, both at ``xmin`` (None: the scan's cutoff, and the
+    whole sample for the lognormal); p and loglik_p from
+    ``bootstrap_pvalue`` with ``bootstrap`` replicates, when nonzero; LR and
+    LR_p, with dist "both", from ``compare_families`` at the power law's
+    cutoff. dist is ``label``, else the first family fitted.
+    """
+    if dist not in ("powerlaw", "lognormal", "both"):
+        raise ValueError(f"dist must be powerlaw, lognormal or both, got {dist!r}")
+    dropped = None
+    if quantize_step is not None:
+        s, dropped = binning.quantize(s, quantize_step)
+    g = SeededGenerator(seed)
+    row = {
+        "dist": None,
+        "gamma": None,
+        "p": None,
+        "xmin": None,
+        "mu": None,
+        "sigma": None,
+        "loglik_p": None,
+        "LR": None,
+        "LR_p": None,
+        "n": s.n,
+    }
+
+    pl = ln = None
+    if dist in ("powerlaw", "both"):
+        pl = fit_powerlaw_tail(s, xmin=xmin)
+        row["dist"] = label or "powerlaw"
+        row["gamma"], _ = pl.params
+        row["xmin"] = pl.xmin
+        if bootstrap:
+            row["p"] = bootstrap_pvalue(
+                s, pl, bootstrap, g, quantize_step=quantize_step, workers=workers
+            ).p
+    if dist in ("lognormal", "both"):
+        ln = fit_lognormal(s, xmin=xmin)
+        row["mu"], row["sigma"] = ln.params
+        if pl is None:
+            row["dist"] = label or "lognormal"
+            row["xmin"] = ln.xmin
+        if bootstrap:
+            row["loglik_p"] = bootstrap_pvalue(
+                s, ln, bootstrap, g, quantize_step=quantize_step, workers=workers
+            ).p
+    if dist == "both":
+        # With xmin both fits are the ones compare_families would make; the
+        # scan's power-law fit is not (its gamma comes from suffix sums).
+        fixed = xmin is not None
+        comparison = compare_families(
+            s, pl.xmin, powerlaw=pl if fixed else None, lognormal=ln if fixed else None
+        )
+        row["LR"], row["LR_p"] = comparison.lr, comparison.p_value
+    if dropped is not None:
+        row["quantize_dropped"] = dropped
+    return row
 
 
 def fit_binned(h: Histogram, family: str, min_tail: int = DEFAULT_MIN_TAIL) -> FitReport:

@@ -29,6 +29,7 @@ from tailfit import (
     fit_binned,
     fit_lognormal,
     fit_powerlaw_tail,
+    fit_sample,
     interevent_durations,
     parse_events,
     quantize,
@@ -264,12 +265,10 @@ def _generate_event_csv(path, n_events, seed):
 def _ingest_and_fit(path):
     with open(path) as fh:
         sample, summary = interevent_durations(parse_events(fh))
-    ln_fit = fit_lognormal(sample)
-    pl_fit = fit_powerlaw_tail(sample, xmin=float(math.exp(5.0)))
     payload = {
         "summary": summary.to_dict(),
-        "lognormal": ln_fit.to_json_dict(),
-        "powerlaw": pl_fit.to_json_dict(),
+        "lognormal": fit_sample(sample, "lognormal"),
+        "powerlaw": fit_sample(sample, "powerlaw", xmin=math.exp(5.0)),
         "sha256": hashlib.sha256(sample.values.tobytes()).hexdigest(),
     }
     return json.dumps(payload, sort_keys=True).encode()

@@ -449,6 +449,41 @@ class TestFit:
         assert code == 0
         assert json.loads(fit_out)["LR"] == json.loads(cmp_out)["lr"]
 
+    @pytest.mark.parametrize(
+        "options, kwargs",
+        [
+            (["--dist", "powerlaw"], {"dist": "powerlaw"}),
+            (["--dist", "powerlaw", "--xmin", "1e5"], {"dist": "powerlaw", "xmin": 1e5}),
+            (["--dist", "lognormal"], {"dist": "lognormal"}),
+            (["--dist", "lognormal", "--xmin", "1e5"], {"dist": "lognormal", "xmin": 1e5}),
+            (["--dist", "both"], {"dist": "both"}),
+            (["--dist", "both", "--xmin", "1e5"], {"dist": "both", "xmin": 1e5}),
+            (["--label", "emails"], {"label": "emails"}),
+            (["--quantize", "3600"], {"quantize_step": 3600.0}),
+            (
+                ["--quantize", "3600", "--bootstrap", "100", "--seed", "2"],
+                {"quantize_step": 3600.0, "bootstrap": 100, "seed": 2, "workers": 2},
+            ),
+        ],
+    )
+    def test_writes_the_fit_sample_row(self, tmp_path, capsys, monkeypatch, options, kwargs):
+        # fit writes estimation.fit_sample's row for the same arguments.
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
+        path = tmp_path / "sample.txt"
+        assert main(["simulate", "lognormal", "--mu", "10.45", "--sigma", "2.75", "-n", "2000",
+                     "--seed", "1", "--output", str(path)]) == 0
+        threads = str(kwargs.get("workers", 1))
+        out = tmp_path / "fit.json"
+        code, _, err = run(
+            ["--threads", threads, "fit", "--input", str(path), *options, "--output", str(out)],
+            capsys,
+        )
+        assert code == 0, err
+        with open(path) as fh:
+            sample = read_durations_text(fh)
+        row = estimation.fit_sample(sample, **kwargs)
+        assert out.read_text() == json.dumps(row, indent=2, sort_keys=True) + "\n"
+
 
 class TestThreadsOption:
     """Bad worker counts are rejected before any work starts: the input
@@ -534,11 +569,11 @@ class TestTruncatedFitExtremes:
 
 class TestStartup:
     """No subcommand imports scipy: the normal kernels are tailfit.normal's
-    and the truncated fit is solved with numpy; only the binned fits and the
-    EDF diagnostic, which no subcommand runs, import scipy.optimize. Nor does
-    any subcommand load numpy.ma, which nothing of tailfit needs. numpy.random
-    is loaded only by the subcommands that draw (simulate, and fit's
-    bootstrap), and the bootstrap loads it before it forks its workers."""
+    and the truncated fit is solved with numpy; only the binned fits, which
+    no subcommand runs, import scipy.optimize. Nor does any subcommand load
+    numpy.ma, which nothing of tailfit needs. numpy.random is loaded only
+    by the subcommands that draw (simulate, and fit's bootstrap), and the
+    bootstrap loads it before it forks its workers."""
 
     @pytest.fixture(scope="class")
     def workdir(self, tmp_path_factory):

@@ -136,24 +136,10 @@ class TestLognormal:
         assert back.mu == pytest.approx(m.mu, rel=1e-10)
         assert back.sigma == pytest.approx(m.sigma, rel=1e-10)
 
-    def test_mode(self):
-        m = LognormalModel(3.0, 1.5)
-        assert m.mode() == pytest.approx(math.exp(3.0 - 2.25), rel=1e-14)
-        # The pdf is maximal there.
-        t = m.mode()
-        assert m.pdf(t) > m.pdf(t * 1.01)
-        assert m.pdf(t) > m.pdf(t * 0.99)
-
     def test_quantile_inverts_cdf(self):
         m = LognormalModel(10.0, 2.0)
         p = np.array([0.001, 0.25, 0.5, 0.75, 0.999])
         np.testing.assert_allclose(m.cdf(m.quantile(p)), p, atol=1e-12)
-
-    def test_rescaled_shifts_mu_keeps_sigma(self):
-        m = LognormalModel(10.0, 2.0)
-        r = m.rescaled(1.0 / 3600.0)
-        assert r.sigma == m.sigma
-        assert r.mu == pytest.approx(10.0 - math.log(3600.0), rel=1e-14)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

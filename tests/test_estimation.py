@@ -30,6 +30,7 @@ from tailfit import (
     fit_binned,
     fit_lognormal,
     fit_powerlaw_tail,
+    fit_sample,
     ks_distance,
     sample_lognormal,
     sample_powerlaw,
@@ -988,7 +989,7 @@ class TestBinnedFit:
 class TestReportSchema:
     def test_powerlaw_row(self):
         s = sample_powerlaw(PowerLawModel(2.0, 1.0), 500, SeededGenerator(160))
-        row = fit_powerlaw_tail(s, xmin=1.0).to_json_dict()
+        row = fit_sample(s, "powerlaw", xmin=1.0)
         assert set(row) == {
             "dist", "gamma", "p", "xmin", "mu", "sigma", "loglik_p", "LR", "LR_p", "n"
         }
@@ -998,7 +999,12 @@ class TestReportSchema:
 
     def test_lognormal_row(self):
         s = sample_lognormal(LognormalModel(2.0, 1.0), 500, SeededGenerator(161))
-        row = fit_lognormal(s).to_json_dict(dist="emails")
+        row = fit_sample(s, "lognormal", label="emails")
         assert row["dist"] == "emails"
         assert row["gamma"] is None and row["p"] is None
         assert row["mu"] is not None and row["sigma"] is not None
+
+    def test_unknown_family_is_rejected(self):
+        s = sample_lognormal(LognormalModel(2.0, 1.0), 500, SeededGenerator(161))
+        with pytest.raises(ValueError, match="weibull"):
+            fit_sample(s, "weibull")
