@@ -156,12 +156,16 @@ def quantize(s: DurationSample, step: float) -> QuantizeResult:
             f"quantization step {step!r} divides durations in [{s.x_min!r}, {s.x_max!r}] "
             "past the largest float64"
         )
-    quantized = np.floor(s.values / step) * step
-    kept = quantized[quantized > 0]
-    dropped = int(quantized.size - kept.size)
+    kept = floor_to_step(s.values, step)
     if kept.size == 0:
         raise ValueError("all values fall below the quantization step")
-    return QuantizeResult(DurationSample(kept), dropped)
+    return QuantizeResult(DurationSample(kept), s.n - kept.size)
+
+
+def floor_to_step(values: np.ndarray, step: float) -> np.ndarray:
+    """The positive values of floor(values / step) * step, in their order."""
+    quantized = np.floor(values / step) * step
+    return quantized[quantized > 0]
 
 
 def expected_counts(model, edges, n: int) -> np.ndarray:

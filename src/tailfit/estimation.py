@@ -782,8 +782,7 @@ def bootstrap_pvalue(
             parts.append(rng.choice(body, size=n - k, replace=True))
         values = np.concatenate(parts)
         if quantize_step is not None:
-            values = np.floor(values / quantize_step) * quantize_step
-            values = values[values > 0]
+            values = binning.floor_to_step(values, quantize_step)
             if values.size < 2:
                 raise DegenerateSampleError("quantized replicate keeps fewer than two values")
         synthetic = DurationSample(values)
@@ -840,24 +839,20 @@ def bootstrap_pvalue_binned(
     Synthetic histograms are multinomial draws over the observed bins:
     below the fitted cutoff the empirical bin probabilities are used,
     above it the fitted model's (tail-conditioned, weighted by the
-    observed tail share). Each replicate is refitted with the same
-    binned pipeline and its binned KS recorded. ``workers`` is as for
-    ``bootstrap_pvalue``.
+    observed tail share). A fit without a cutoff (the binned lognormal)
+    is one at the first edge, so its replicates are drawn from the model
+    alone. Each replicate is refitted with the same binned pipeline and
+    its binned KS recorded. ``workers`` is as for ``bootstrap_pvalue``.
     """
     fit_options = fit_options or {}
     edges = h.edges
-    counts = h.counts
     n = h.n
-    probs = counts / n
-    if fit.xmin is not None:
-        # The fitted cutoff is one of the histogram edges.
-        j = int(np.searchsorted(edges, fit.xmin))
-        model = fit.model()
-        cdf = model.cdf(edges[j:])
-        tail_probs = np.diff(cdf) / (cdf[-1] - cdf[0])
-        probs = probs.copy()
-        probs[j:] = tail_probs * (fit.n_tail / n)
-        probs /= probs.sum()
+    # The fitted cutoff is one of the histogram edges.
+    j = 0 if fit.xmin is None else int(np.searchsorted(edges, fit.xmin))
+    cdf = fit.model().cdf(edges[j:])
+    probs = h.counts / n
+    probs[j:] = np.diff(cdf) / (cdf[-1] - cdf[0]) * (fit.n_tail / n)
+    probs /= probs.sum()
 
     def replicate(rng: np.random.Generator) -> float:
         counts_rep = rng.multinomial(n, probs)
@@ -902,32 +897,22 @@ def _replicates(replicate, g, start: int, stop: int) -> list[float]:
 
 
 def compare_families(
-    s: DurationSample,
-    xmin: float,
-    threshold: float = VERDICT_THRESHOLD,
-    powerlaw: FitReport | None = None,
-    lognormal: FitReport | None = None,
+    s: DurationSample, xmin: float, threshold: float = VERDICT_THRESHOLD
 ) -> ComparisonReport:
     """Vuong-style log-likelihood ratio between power-law and lognormal,
     both fitted to (and normalized on) the tail x >= xmin.
 
-    ``powerlaw`` and ``lognormal`` may pass in the caller's own
-    ``fit_powerlaw_tail(s, xmin=xmin)`` and ``fit_lognormal(s, xmin=xmin)``,
-    which are then not computed again. ``threshold`` is as for ``verdict``.
+    The power law is fitted first, so a tail too small for the comparison
+    raises that fit's DegenerateSampleError. ``threshold`` is as for
+    ``verdict``.
     """
     _check_xmin(xmin)
     _check_threshold(threshold)
-    tail = s.values[int(np.searchsorted(s.values, xmin)):]
-    m = tail.size
-    if m < 2:
-        raise DegenerateSampleError("need at least two tail values to compare")
-    for given, family in ((powerlaw, "powerlaw"), (lognormal, "lognormal")):
-        if given is not None and (given.family != family or given.xmin != xmin):
-            raise ValueError(f"the {family} fit passed in is not a {family} fit at xmin={xmin}")
-    pl = powerlaw if powerlaw is not None else fit_powerlaw_tail(s, xmin=xmin)
-    ln = lognormal if lognormal is not None else fit_lognormal(s, xmin=xmin)
+    pl = fit_powerlaw_tail(s, xmin=xmin)
+    ln = fit_lognormal(s, xmin=xmin)
 
-    y = np.log(tail)
+    m = pl.n_tail
+    y = np.log(s.values[s.n - m:])
     mu, sigma = ln.params
     log_sf = lognormal_logsf_of_log(math.log(xmin), mu, sigma)
     log_ln = lognormal_logpdf_of_log(y, mu, sigma) - log_sf
@@ -978,7 +963,8 @@ def fit_sample(
     whole sample for the lognormal); p and loglik_p from
     ``bootstrap_pvalue`` with ``bootstrap`` replicates, when nonzero; LR and
     LR_p, with dist "both", from ``compare_families`` at the power law's
-    cutoff. dist is ``label``, else the first family fitted.
+    cutoff. With dist "both" and an ``xmin``, the two fits are the
+    comparison's own. dist is ``label``, else the first family fitted.
     """
     if dist not in ("powerlaw", "lognormal", "both"):
         raise ValueError(f"dist must be powerlaw, lognormal or both, got {dist!r}")
@@ -999,9 +985,14 @@ def fit_sample(
         "n": s.n,
     }
 
-    pl = ln = None
+    # Without xmin the comparison refits at the scan's cutoff, below.
+    pl = ln = comparison = None
+    if dist == "both" and xmin is not None:
+        comparison = compare_families(s, xmin)
+        pl, ln = comparison.powerlaw, comparison.lognormal
     if dist in ("powerlaw", "both"):
-        pl = fit_powerlaw_tail(s, xmin=xmin)
+        if pl is None:
+            pl = fit_powerlaw_tail(s, xmin=xmin)
         row["dist"] = label or "powerlaw"
         row["gamma"], _ = pl.params
         row["xmin"] = pl.xmin
@@ -1010,7 +1001,8 @@ def fit_sample(
                 s, pl, bootstrap, g, quantize_step=quantize_step, workers=workers
             ).p
     if dist in ("lognormal", "both"):
-        ln = fit_lognormal(s, xmin=xmin)
+        if ln is None:
+            ln = fit_lognormal(s, xmin=xmin)
         row["mu"], row["sigma"] = ln.params
         if pl is None:
             row["dist"] = label or "lognormal"
@@ -1020,12 +1012,8 @@ def fit_sample(
                 s, ln, bootstrap, g, quantize_step=quantize_step, workers=workers
             ).p
     if dist == "both":
-        # With xmin both fits are the ones compare_families would make; the
-        # scan's power-law fit is not (its gamma comes from suffix sums).
-        fixed = xmin is not None
-        comparison = compare_families(
-            s, pl.xmin, powerlaw=pl if fixed else None, lognormal=ln if fixed else None
-        )
+        if comparison is None:
+            comparison = compare_families(s, pl.xmin)
         row["LR"], row["LR_p"] = comparison.lr, comparison.p_value
     if dropped is not None:
         row["quantize_dropped"] = dropped

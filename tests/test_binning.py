@@ -16,6 +16,7 @@ from tailfit import (
     rescale,
     sample_lognormal,
 )
+from tailfit.binning import floor_to_step
 
 
 def small_sample():
@@ -119,6 +120,11 @@ class TestQuantize:
         q, dropped = quantize(s, 1.0)
         np.testing.assert_array_equal(q.values, [1.0, 3.0, 4.0, 7.0])
         assert dropped == 1
+
+    def test_floor_to_step_keeps_order(self):
+        # The bootstrap floors its unsorted replicates with the same function.
+        values = np.array([7.9, 0.4, 4.0, 1.2, 3.7])
+        np.testing.assert_array_equal(floor_to_step(values, 1.0), [7.0, 4.0, 1.0, 3.0])
 
     def test_all_dropped_raises(self):
         s = DurationSample(np.array([0.1, 0.2]))

@@ -368,6 +368,7 @@ class TestFit:
             ("fit", "--rescale", "inf", "scale factor"),
             # Finite and above every value: a valid cutoff that leaves no tail.
             ("fit", "--xmin", "1e308", None),
+            ("compare", "--xmin", "1e308", None),
         ],
     )
     def test_invalid_cutoff_step_or_factor(self, tmp_path, capsys, command, option, value, name):
@@ -384,6 +385,18 @@ class TestFit:
             )
             err = f"invalid-input: {name} must {bounds}, got {float(value)!r}"
             assert got == (1, "", f"error: {err}\n")
+
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_cutoff_that_leaves_one_value(self, tmp_path, capsys, command):
+        # The power law fits one value; the lognormal, which needs two, says so.
+        sample = self.make_sample(tmp_path, capsys, n=500)
+        with open(sample) as fh:
+            values = read_durations_text(fh).values
+        xmin = repr(float(values[-2] + values[-1]) / 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run([command, "--input", str(sample), "--xmin", xmin], capsys)
+        assert got == (2, "", "error: degenerate-data: need at least two tail values\n")
 
     @pytest.mark.parametrize(
         "data",
@@ -439,7 +452,8 @@ class TestFit:
         assert row["p"] is not None and row["loglik_p"] is not None
 
     def test_fixed_cutoff_lr_matches_compare(self, tmp_path, capsys):
-        # fit --xmin hands its own fits to the comparison; compare makes its own.
+        # fit --dist both --xmin and compare --xmin make one comparison each,
+        # both by compare_families at that cutoff.
         sample = self.make_sample(tmp_path, capsys, kind="lognormal")
         code, fit_out, _ = run(
             ["fit", "--input", str(sample), "--dist", "both", "--xmin", "150"], capsys

@@ -820,20 +820,28 @@ class TestBootstrapWorkers:
 
 
 class TestCompareFamilies:
-    def test_passed_fits_give_equal_report(self):
+    def test_fit_sample_at_a_cutoff_reports_the_comparison(self):
+        # fit --dist both --xmin reports the fits its LR was computed from.
         s = sample_lognormal(LognormalModel(5.0, 1.5), 3_000, SeededGenerator(133))
         xmin = float(np.median(s.values))
-        pl = fit_powerlaw_tail(s, xmin=xmin)
-        ln = fit_lognormal(s, xmin=xmin)
-        assert compare_families(s, xmin, powerlaw=pl, lognormal=ln) == compare_families(s, xmin)
+        row = fit_sample(s, "both", xmin=xmin)
+        report = compare_families(s, xmin)
+        assert (row["gamma"], row["xmin"]) == report.powerlaw.params
+        assert (row["mu"], row["sigma"]) == report.lognormal.params
+        assert (row["LR"], row["LR_p"]) == (report.lr, report.p_value)
 
-    def test_rejects_fit_at_other_cutoff(self):
-        s = sample_lognormal(LognormalModel(5.0, 1.5), 3_000, SeededGenerator(134))
-        xmin = float(np.median(s.values))
-        with pytest.raises(ValueError):
-            compare_families(s, xmin, powerlaw=fit_powerlaw_tail(s, xmin=2 * xmin))
-        with pytest.raises(ValueError):
-            compare_families(s, xmin, lognormal=fit_powerlaw_tail(s, xmin=xmin))
+    @pytest.mark.parametrize(
+        "xmin, message",
+        [
+            (10.0, "no values at or above the requested cutoff"),
+            (3.0, "tail has no spread above the cutoff"),
+            (2.5, "need at least two tail values"),
+        ],
+    )
+    def test_tail_too_small_raises_the_fits_message(self, xmin, message):
+        s = DurationSample(np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(DegenerateSampleError, match=f"^{message}$"):
+            compare_families(s, xmin)
 
     def test_sign_on_powerlaw_data(self):
         s = sample_powerlaw(PowerLawModel(2.0, 1.0), 20_000, SeededGenerator(130))
@@ -984,6 +992,17 @@ class TestBinnedFit:
         fit = fit_binned(h, "powerlaw")
         p = bootstrap_pvalue_binned(h, fit, 100, SeededGenerator(144)).p
         assert p > 0.05
+
+    def test_binned_lognormal_bootstrap_draws_from_the_fit(self):
+        # A fit without a cutoff once kept the empirical bin probabilities,
+        # so every replicate redrew the data's own histogram: p 0.58 here,
+        # with a median replicate KS of 0.084 against the observed 0.083.
+        values = np.random.default_rng(11).gamma(0.5, 1.0, 20_000) * 100.0
+        h = bin_log(DurationSample(values), 5)
+        fit = fit_binned(h, "lognormal")
+        result = bootstrap_pvalue_binned(h, fit, 100, SeededGenerator(145))
+        assert result.p < 0.05
+        assert np.median(result.ks) < fit.ks / 4
 
 
 class TestReportSchema:
