@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -69,11 +68,6 @@ def _density_finite(counts: np.ndarray, n: int, widths: np.ndarray) -> bool:
     with np.errstate(over="ignore"):
         scaled = n * widths
         return bool(np.isfinite(scaled).all() and np.isfinite(counts / scaled).all())
-
-
-class QuantizeResult(NamedTuple):
-    sample: DurationSample
-    dropped: int
 
 
 def bin_linear(s: DurationSample, m: int) -> Histogram:
@@ -141,7 +135,7 @@ def rescale(s: DurationSample, b: float) -> DurationSample:
     return DurationSample(s.values * b)
 
 
-def quantize(s: DurationSample, step: float) -> QuantizeResult:
+def quantize(s: DurationSample, step: float) -> tuple[DurationSample, int]:
     """Truncate each duration to a multiple of step (floor), dropping the
     values below step that truncate to zero.
 
@@ -159,7 +153,7 @@ def quantize(s: DurationSample, step: float) -> QuantizeResult:
     kept = floor_to_step(s.values, step)
     if kept.size == 0:
         raise ValueError("all values fall below the quantization step")
-    return QuantizeResult(DurationSample(kept), s.n - kept.size)
+    return DurationSample(kept), s.n - kept.size
 
 
 def floor_to_step(values: np.ndarray, step: float) -> np.ndarray:

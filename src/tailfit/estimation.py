@@ -63,7 +63,6 @@ class FitReport:
     xmin: float | None
     n_tail: int
     ks: float
-    loglik: float
     n_total: int
 
     def model(self):
@@ -377,7 +376,8 @@ def fit_powerlaw_tail(
             ),
         )
     i = int(candidates[best])
-    return _powerlaw_report(float(gammas[best]), float(x[i]), n - i, n, best_ks, suffix[i])
+    gamma, xmin = float(gammas[best]), float(x[i])
+    return FitReport("powerlaw", (gamma, xmin), xmin, n - i, best_ks, n)
 
 
 def _check_xmin(xmin: float) -> None:
@@ -396,15 +396,7 @@ def _powerlaw_fit_at(x: np.ndarray, i: int, xmin: float, n: int) -> FitReport:
     gamma = 1.0 + m / log_ratio_sum
     view = _runs(tail)
     ks, _, _ = _powerlaw_tail_ks(view[0], *_tail_counts(view, 0), xmin, gamma)
-    return _powerlaw_report(gamma, xmin, m, n, ks, float(np.sum(np.log(tail))))
-
-
-def _powerlaw_report(gamma, xmin, m, n, ks, sum_log_x) -> FitReport:
-    """The power-law fit to the m of n values at or above xmin, with its
-    closed-form log-likelihood from the sum of their logs.
-    """
-    loglik = m * math.log(gamma - 1.0) + m * (gamma - 1.0) * math.log(xmin) - gamma * sum_log_x
-    return FitReport("powerlaw", (gamma, xmin), xmin, m, ks, float(loglik), n)
+    return FitReport("powerlaw", (gamma, xmin), xmin, m, ks, n)
 
 
 def fit_lognormal(s: DurationSample, xmin: float | None = None) -> FitReport:
@@ -417,8 +409,7 @@ def fit_lognormal(s: DurationSample, xmin: float | None = None) -> FitReport:
         logs, mu, sigma = _log_moments(x)
         slack = _lognormal_ks_slack(logs[0], logs[-1], mu, sigma)
         ks = ks_distance(s, LognormalModel(mu, sigma).cdf, slack=slack)
-        loglik = float(np.sum(lognormal_logpdf_of_log(logs, mu, sigma)))
-        return FitReport("lognormal", (mu, sigma), None, n, ks, loglik, n)
+        return FitReport("lognormal", (mu, sigma), None, n, ks, n)
 
     _check_xmin(xmin)
     tail = x[int(np.searchsorted(x, xmin)):]
@@ -427,14 +418,14 @@ def fit_lognormal(s: DurationSample, xmin: float | None = None) -> FitReport:
         raise DegenerateSampleError("need at least two tail values")
     y = np.log(tail)
     w = math.log(xmin)
-    mu, sigma, loglik = _truncated_lognormal_mle(y, w)
+    mu, sigma = _truncated_lognormal_newton(w, _tail_statistics(y))
     model = LognormalModel(mu, sigma)
     # Conditional cdf via survival logs; the direct 1 - cdf(xmin) can
     # underflow to zero when the fitted body sits far below the cutoff.
     log_sf_xmin = model.logsf(xmin)
     slack = _lognormal_ks_slack(y[0], y[-1], mu, sigma, log_sf_xmin, (w - mu) / sigma)
     ks = ks_distance(tail, lambda t: -np.expm1(model.logsf(t) - log_sf_xmin), slack=slack)
-    return FitReport("lognormal", (mu, sigma), float(xmin), m, ks, loglik, n)
+    return FitReport("lognormal", (mu, sigma), float(xmin), m, ks, n)
 
 
 def _lognormal_ks_slack(
@@ -497,19 +488,6 @@ _CF_FROM = 2.0
 _CF_TERMS = 100
 
 
-def _truncated_lognormal_mle(y: np.ndarray, w: float) -> tuple[float, float, float]:
-    """(mu, sigma, log-likelihood) of the lognormal truncated to [e^w, inf)
-    that is most likely for the log-values ``y``, within the bounds above.
-
-    One pass over y takes its sufficient statistics; the fit works on
-    those alone, in O(1) a step. The log-likelihood is evaluated once,
-    elementwise, at the result.
-    """
-    mu, sigma = _truncated_lognormal_newton(w, _tail_statistics(y))
-    log_sf = lognormal_logsf_of_log(w, mu, sigma)
-    return mu, sigma, float(np.sum(lognormal_logpdf_of_log(y, mu, sigma)) - y.size * log_sf)
-
-
 def _tail_statistics(y: np.ndarray) -> tuple[float, float, float, float, float]:
     """(origin, top, mean, shift, sd): the smallest and largest of y, the
     mean of y - origin, the mean that rounding leaves of the deviations
@@ -533,8 +511,12 @@ def _tail_statistics(y: np.ndarray) -> tuple[float, float, float, float, float]:
 
 
 def _truncated_lognormal_newton(w: float, stats) -> tuple[float, float]:
-    """(mu, sigma) of ``_truncated_lognormal_mle`` from the tail's
-    ``_tail_statistics`` alone, by Newton steps within the bounds.
+    """(mu, sigma) of the lognormal truncated to [e^w, inf) that is most
+    likely for the log-values whose ``_tail_statistics`` are ``stats``,
+    within the bounds above, by Newton steps.
+
+    One pass over the tail takes those sufficient statistics; the fit
+    works on them alone, in O(1) a step.
 
     In units u = (y - origin - mean) / sd the tail has mean u1 = shift / sd
     and mean square 1, and the log-likelihood is concave in the natural
@@ -746,10 +728,13 @@ def bootstrap_pvalue(
 
     Each replicate draws n_total points: with probability n_tail/n_total
     from the fitted tail model, otherwise resampled from the empirical
-    body below the cutoff; the full fit (including cutoff re-selection
-    for the power-law) is re-run and its KS recorded. p is the fraction
-    of replicates at least as discrepant as the observed fit, with
-    precision 1/(2*sqrt(reps)).
+    body below the cutoff; the fit is re-run as ``fit`` was made and its
+    KS recorded. p is the fraction of replicates at least as discrepant
+    as the observed fit, with precision 1/(2*sqrt(reps)). A lognormal is
+    refitted at ``fit.xmin``, a power law by ``fit_powerlaw_tail(synthetic,
+    **fit_options)``: ``fit_options`` must match how ``fit`` was made, and
+    hold its ``xmin`` if it was fitted at a given cutoff, or each
+    replicate rescans.
 
     ``quantize_step`` applies the same provider-resolution truncation to
     every replicate, for samples that were themselves quantized. A
@@ -961,7 +946,8 @@ def fit_sample(
     xmin come from ``fit_powerlaw_tail``, mu and sigma from
     ``fit_lognormal``, both at ``xmin`` (None: the scan's cutoff, and the
     whole sample for the lognormal); p and loglik_p from
-    ``bootstrap_pvalue`` with ``bootstrap`` replicates, when nonzero; LR and
+    ``bootstrap_pvalue`` with ``bootstrap`` replicates, when nonzero, each
+    refitted as its fit was made (the power law at ``xmin``, if given); LR and
     LR_p, with dist "both", from ``compare_families`` at the power law's
     cutoff. With dist "both" and an ``xmin``, the two fits are the
     comparison's own. dist is ``label``, else the first family fitted.
@@ -997,8 +983,9 @@ def fit_sample(
         row["gamma"], _ = pl.params
         row["xmin"] = pl.xmin
         if bootstrap:
+            refit = None if xmin is None else {"xmin": xmin}  # as pl was fitted
             row["p"] = bootstrap_pvalue(
-                s, pl, bootstrap, g, quantize_step=quantize_step, workers=workers
+                s, pl, bootstrap, g, refit, quantize_step=quantize_step, workers=workers
             ).p
     if dist in ("lognormal", "both"):
         if ln is None:
@@ -1083,7 +1070,7 @@ def _fit_binned_lognormal(edges, counts, n) -> FitReport:
         raise FitConvergenceError(f"binned lognormal optimizer failed: {res.message}")
     mu, sigma = float(res.x[0]), float(math.exp(res.x[1]))
     ks = _binned_ks(LognormalModel(mu, sigma), edges, counts)
-    return FitReport("lognormal", (mu, sigma), None, n, ks, float(-res.fun), n)
+    return FitReport("lognormal", (mu, sigma), None, n, ks, n)
 
 
 def _binned_ks(model, edges, counts) -> float:
@@ -1112,13 +1099,13 @@ def _fit_binned_powerlaw(edges, counts, n, min_tail) -> FitReport:
         fit = _binned_powerlaw_gamma(sub_edges, sub_counts, xmin)
         if fit is None:
             continue
-        gamma, loglik, ks = fit
+        gamma, ks = fit
         if best is None or ks < best[0]:
-            best = (ks, j, gamma, loglik, n_tail, xmin)
+            best = (ks, gamma, n_tail, xmin)
     if best is None:
         raise DegenerateSampleError("no viable cutoff for the binned power-law fit")
-    ks, j, gamma, loglik, n_tail, xmin = best
-    return FitReport("powerlaw", (gamma, xmin), xmin, n_tail, ks, loglik, n)
+    ks, gamma, n_tail, xmin = best
+    return FitReport("powerlaw", (gamma, xmin), xmin, n_tail, ks, n)
 
 
 def _binned_powerlaw_gamma(edges, counts, xmin):
@@ -1148,5 +1135,5 @@ def _binned_powerlaw_gamma(edges, counts, xmin):
     if not res.success or not np.isfinite(res.fun):
         return None
     gamma = float(res.x)
-    return gamma, float(-res.fun), _binned_ks(PowerLawModel(gamma, xmin), edges, counts)
+    return gamma, _binned_ks(PowerLawModel(gamma, xmin), edges, counts)
 

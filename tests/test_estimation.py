@@ -105,9 +105,7 @@ def reference_scan(s, min_tail=50, max_candidates=1000):
         raise DegenerateSampleError("no valid cutoff candidate")
     ks, i, gamma = best
     xmin = float(x[i])
-    m = n - i
-    loglik = m * math.log(gamma - 1.0) + m * (gamma - 1.0) * math.log(xmin) - gamma * suffix[i]
-    return FitReport("powerlaw", (float(gamma), xmin), xmin, m, ks, float(loglik), n)
+    return FitReport("powerlaw", (float(gamma), xmin), xmin, n - i, ks, n)
 
 
 def reference_truncated_lognormal_loglik(y, w, mu, sigma):
@@ -438,12 +436,6 @@ class TestPowerlawFit:
         expected = 1.0 + 4.0 / (3.0 * math.log(2.0) + 2.0 * math.log(2.0) + math.log(2.0))
         assert fit.params[0] == pytest.approx(expected, rel=1e-12)
 
-    def test_loglik_matches_model(self):
-        s = sample_powerlaw(PowerLawModel(2.0, 1.0), 500, SeededGenerator(103))
-        fit = fit_powerlaw_tail(s, xmin=1.0)
-        direct = float(np.sum(fit.model().logpdf(s.values)))
-        assert fit.loglik == pytest.approx(direct, rel=1e-10)
-
     def test_min_tail_floor(self):
         s = sample_powerlaw(PowerLawModel(2.0, 1.0), 500, SeededGenerator(104))
         fit = fit_powerlaw_tail(s, min_tail=50)
@@ -470,7 +462,6 @@ class TestPowerlawFit:
         assert fit.xmin == expected.xmin
         assert fit.params == expected.params
         assert fit.n_tail == expected.n_tail
-        assert fit.loglik == expected.loglik
 
     def test_ks_tie_goes_to_smallest_cutoff(self):
         # Cutoffs 1, 2 and 3 all have KS exactly 0.5 (their first run holds
@@ -539,7 +530,7 @@ class TestPowerlawFit:
         fit = fit_powerlaw_tail(s)
         json.dumps(dataclasses.asdict(fit))
         assert type(fit.n_tail) is int
-        assert all(type(v) is float for v in (*fit.params, fit.ks, fit.loglik))
+        assert all(type(v) is float for v in (*fit.params, fit.ks))
 
     def test_decimation_keeps_result_close(self):
         s = sample_powerlaw(PowerLawModel(1.8, 5.0), 20_000, SeededGenerator(105))
@@ -570,18 +561,6 @@ class TestLognormalFit:
         assert fit.params[1] == pytest.approx(1.5, abs=0.05)
         assert fit.n_tail < s.n
 
-    def test_truncated_loglik_is_tail_normalized(self):
-        m = LognormalModel(2.0, 1.0)
-        s = sample_lognormal(m, 5_000, SeededGenerator(112))
-        xmin = float(np.median(s.values))
-        fit = fit_lognormal(s, xmin=xmin)
-        model = fit.model()
-        tail = s.values[s.values >= xmin]
-        direct = float(
-            np.sum(model.logpdf(tail)) - tail.size * np.log1p(-model.cdf(xmin))
-        )
-        assert fit.loglik == pytest.approx(direct, rel=1e-6)
-
     @settings(max_examples=100, deadline=None)
     @given(
         st.integers(0, 2**32 - 1),
@@ -592,8 +571,8 @@ class TestLognormalFit:
     def test_truncated_loglik_equals_first_version(self, seed, m, mu, log_sigma):
         # The log-likelihood the Newton fit maximizes, taken from the
         # tail's sufficient statistics, equals the first version at any
-        # point up to rounding; the fit is at least as likely as any point
-        # within the bounds, and reports the first version's value exactly.
+        # point up to rounding; by the first version, the fit is at least
+        # as likely as any point within the bounds.
         rng = np.random.default_rng(seed)
         y = np.sort(rng.normal(rng.uniform(-5.0, 5.0), rng.uniform(0.1, 3.0), m))
         w = float(y[0])
@@ -605,8 +584,10 @@ class TestLognormalFit:
             abs(log_sigma) + 1.0 - float(log_ndtr(-(w - mu) / sigma))
         )
         assert abs(statistics_loglik(y, w, mu, sigma) - want) <= 1e-13 * scale
-        mu_hat, sigma_hat, loglik = estimation._truncated_lognormal_mle(y, w)
-        assert loglik == reference_truncated_lognormal_loglik(y, w, mu_hat, sigma_hat)
+        mu_hat, sigma_hat = estimation._truncated_lognormal_newton(
+            w, estimation._tail_statistics(y)
+        )
+        loglik = reference_truncated_lognormal_loglik(y, w, mu_hat, sigma_hat)
         if w - 5.0 * estimation.SIGMA_MAX**2 <= mu <= float(y[-1]) + 10.0:
             assert loglik >= want - 1e-13 * scale
 
@@ -619,11 +600,10 @@ class TestLognormalFit:
         tail_stats = estimation._tail_statistics(y)
         tracemalloc.start()
         try:
-            mu, sigma = estimation._truncated_lognormal_newton(w, tail_stats)
+            estimation._truncated_lognormal_newton(w, tail_stats)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert (mu, sigma) == estimation._truncated_lognormal_mle(y, w)[:2]
         assert peak < 8 * m / 10
 
     def test_degenerate_inputs(self):
@@ -661,7 +641,7 @@ class TestBootstrap:
         # be finite and at or above the cutoff.
         body = sample_lognormal(LognormalModel(0.0, 1.0), 1_000, SeededGenerator(128))
         s = DurationSample(np.concatenate([body.values, 1e4 * np.linspace(1.0, 1.2, 20)]))
-        fit = FitReport("lognormal", (0.0, 1.0), 1e4, 20, 0.5, 0.0, s.n)
+        fit = FitReport("lognormal", (0.0, 1.0), 1e4, 20, 0.5, s.n)
         assert fit.model().cdf(1e4) == 1.0
         draws = _draw_tail(fit.model(), fit, 10_000, np.random.default_rng(129))
         assert np.all(np.isfinite(draws))
@@ -710,6 +690,22 @@ class TestBootstrap:
         result = bootstrap_pvalue(s, fit, 100, SeededGenerator(172))
         assert result.failed == 100
         assert result.ks == (math.inf,) * 100
+
+    @pytest.mark.parametrize("dist", ["powerlaw", "both"])
+    def test_fixed_cutoff_powerlaw_is_refitted_at_its_cutoff(self, monkeypatch, dist):
+        # Each replicate is refitted as the data was: at the given cutoff,
+        # not by the cutoff scan, which would pick each replicate's own.
+        s = sample_powerlaw(PowerLawModel(2.5, 1.0), 500, SeededGenerator(134))
+        real = estimation.fit_powerlaw_tail
+        cutoffs = []
+
+        def spy(sample, **options):
+            cutoffs.append(options.get("xmin"))
+            return real(sample, **options)
+
+        monkeypatch.setattr(estimation, "fit_powerlaw_tail", spy)
+        fit_sample(s, dist, xmin=1.5, bootstrap=100)
+        assert cutoffs == [1.5] * 101  # the fit, then 100 refits
 
     def test_lognormal_bootstrap_runs(self):
         s = sample_lognormal(LognormalModel(3.0, 1.0), 1_000, SeededGenerator(126))
@@ -855,14 +851,6 @@ class TestCompareFamilies:
         report = compare_families(s, xmin=float(np.median(s.values)))
         assert report.lr < 0
         assert report.verdict == "lognormal"
-
-    def test_lr_equals_loglik_difference(self):
-        s = sample_powerlaw(PowerLawModel(2.0, 1.0), 2_000, SeededGenerator(132))
-        xmin = float(np.median(s.values))
-        report = compare_families(s, xmin)
-        assert report.lr == pytest.approx(
-            report.powerlaw.loglik - report.lognormal.loglik, rel=1e-6
-        )
 
     def test_degenerate_tail(self):
         s = DurationSample(np.array([1.0, 2.0, 3.0]))
