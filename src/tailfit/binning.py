@@ -121,7 +121,7 @@ def bin_log(s: DurationSample, bins_per_decade: int) -> Histogram:
 
 
 def rescale(s: DurationSample, b: float) -> DurationSample:
-    """Multiply every duration by b (change of time unit)."""
+    """Multiply every duration, and any lattice step, by b (change of time unit)."""
     if not (b > 0 and math.isfinite(b)):
         raise ValueError(f"scale factor must be finite and positive, got {b!r}")
     if b == 1.0:
@@ -132,12 +132,12 @@ def rescale(s: DurationSample, b: float) -> DurationSample:
             f"scale factor {b!r} takes durations in [{s.x_min!r}, {s.x_max!r}] outside "
             "the positive float64 range"
         )
-    return DurationSample(s.values * b)
+    return DurationSample(s.values * b, None if s.step is None else s.step * b)
 
 
 def quantize(s: DurationSample, step: float) -> tuple[DurationSample, int]:
     """Truncate each duration to a multiple of step (floor), dropping the
-    values below step that truncate to zero.
+    values below step that truncate to zero; the sample records ``step``.
 
     Models a data provider that stores timestamps at coarse resolution;
     the drop count is surfaced so reports can state how much of the
@@ -153,7 +153,7 @@ def quantize(s: DurationSample, step: float) -> tuple[DurationSample, int]:
     kept = floor_to_step(s.values, step)
     if kept.size == 0:
         raise ValueError("all values fall below the quantization step")
-    return DurationSample(kept), s.n - kept.size
+    return DurationSample(kept, step), s.n - kept.size
 
 
 def floor_to_step(values: np.ndarray, step: float) -> np.ndarray:

@@ -56,7 +56,9 @@ class FitConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class FitReport:
-    """One fitted family on one sample."""
+    """One fitted family on one sample. ``min_tail`` and ``max_candidates``
+    are the rule of the scan that chose ``xmin``, by which a bootstrap
+    refits: None at a given cutoff or none, as is ``max_candidates`` of a binned scan."""
 
     family: str  # "powerlaw" | "lognormal"
     params: tuple[float, float]  # (gamma, tau) or (mu, sigma)
@@ -64,6 +66,8 @@ class FitReport:
     n_tail: int
     ks: float
     n_total: int
+    min_tail: int | None = None
+    max_candidates: int | None = None
 
     def model(self):
         if self.family == "powerlaw":
@@ -377,7 +381,7 @@ def fit_powerlaw_tail(
         )
     i = int(candidates[best])
     gamma, xmin = float(gammas[best]), float(x[i])
-    return FitReport("powerlaw", (gamma, xmin), xmin, n - i, best_ks, n)
+    return FitReport("powerlaw", (gamma, xmin), xmin, n - i, best_ks, n, min_tail, max_candidates)
 
 
 def _check_xmin(xmin: float) -> None:
@@ -720,33 +724,25 @@ def bootstrap_pvalue(
     fit: FitReport,
     reps: int,
     g,
-    fit_options: dict | None = None,
-    quantize_step: float | None = None,
     workers: int = 1,
 ) -> BootstrapResult:
     """Semi-parametric bootstrap goodness-of-fit probability.
 
     Each replicate draws n_total points: with probability n_tail/n_total
     from the fitted tail model, otherwise resampled from the empirical
-    body below the cutoff; the fit is re-run as ``fit`` was made and its
-    KS recorded. p is the fraction of replicates at least as discrepant
-    as the observed fit, with precision 1/(2*sqrt(reps)). A lognormal is
-    refitted at ``fit.xmin``, a power law by ``fit_powerlaw_tail(synthetic,
-    **fit_options)``: ``fit_options`` must match how ``fit`` was made, and
-    hold its ``xmin`` if it was fitted at a given cutoff, or each
-    replicate rescans.
+    body below the cutoff. It is refitted as ``fit`` was made, at
+    ``fit.xmin`` or by the scan ``fit`` records, and its KS recorded; p is
+    the fraction of replicates at least as discrepant as the observed fit,
+    with precision 1/(2*sqrt(reps)). The tail draws of a sample quantized
+    to ``s.step`` are floored to that lattice; the body draws are on it.
 
-    ``quantize_step`` applies the same provider-resolution truncation to
-    every replicate, for samples that were themselves quantized. A
-    replicate that keeps fewer than two values is a failed replicate, as
+    A replicate that keeps fewer than two values is a failed replicate, as
     is one with a tail draw past the largest float64. A fit whose tail
     would draw past it in one replicate or more of ``reps``, on average,
     cannot be bootstrapped: DegenerateSampleError is raised before any
-    replicate runs.
-    ``workers`` > 1 runs the replicates in forked worker processes; the
-    result does not depend on it.
+    replicate runs. ``workers`` > 1 runs the replicates in forked worker
+    processes; the result does not depend on it.
     """
-    fit_options = fit_options or {}
     n = fit.n_total
     xmin = fit.xmin if fit.xmin is not None else 0.0
     body = s.values[:int(np.searchsorted(s.values, xmin))]
@@ -762,18 +758,22 @@ def bootstrap_pvalue(
                 tail = _draw_tail(model, fit, k, rng)
             if not np.isfinite(tail).all():
                 raise DegenerateSampleError("a tail draw passes the largest float64")
+            if s.step is not None:
+                tail = binning.floor_to_step(tail, s.step)
             parts.append(tail)
         if n - k > 0:
             parts.append(rng.choice(body, size=n - k, replace=True))
         values = np.concatenate(parts)
-        if quantize_step is not None:
-            values = binning.floor_to_step(values, quantize_step)
-            if values.size < 2:
-                raise DegenerateSampleError("quantized replicate keeps fewer than two values")
+        if values.size < 2:
+            raise DegenerateSampleError("replicate keeps fewer than two values")
         synthetic = DurationSample(values)
-        if fit.family == "powerlaw":
-            return fit_powerlaw_tail(synthetic, **fit_options).ks
-        return fit_lognormal(synthetic, xmin=fit.xmin, **fit_options).ks
+        if fit.family == "lognormal":
+            return fit_lognormal(synthetic, xmin=fit.xmin).ks
+        if fit.min_tail is None:
+            return fit_powerlaw_tail(synthetic, xmin=fit.xmin).ks
+        return fit_powerlaw_tail(
+            synthetic, min_tail=fit.min_tail, max_candidates=fit.max_candidates
+        ).ks
 
     return _bootstrap(replicate, fit.ks, reps, g, workers)
 
@@ -816,8 +816,7 @@ def _draw_tail(model, fit: FitReport, k: int, rng: np.random.Generator) -> np.nd
 
 
 def bootstrap_pvalue_binned(
-    h: Histogram, fit: FitReport, reps: int, g, fit_options: dict | None = None,
-    workers: int = 1,
+    h: Histogram, fit: FitReport, reps: int, g, workers: int = 1
 ) -> BootstrapResult:
     """Bootstrap goodness-of-fit probability for a binned fit.
 
@@ -826,10 +825,10 @@ def bootstrap_pvalue_binned(
     above it the fitted model's (tail-conditioned, weighted by the
     observed tail share). A fit without a cutoff (the binned lognormal)
     is one at the first edge, so its replicates are drawn from the model
-    alone. Each replicate is refitted with the same binned pipeline and
-    its binned KS recorded. ``workers`` is as for ``bootstrap_pvalue``.
+    alone. Each replicate is refitted with the same binned pipeline, a
+    power law by the scan of ``fit.min_tail``, and its binned KS
+    recorded. ``workers`` is as for ``bootstrap_pvalue``.
     """
-    fit_options = fit_options or {}
     edges = h.edges
     n = h.n
     # The fitted cutoff is one of the histogram edges.
@@ -840,8 +839,10 @@ def bootstrap_pvalue_binned(
     probs /= probs.sum()
 
     def replicate(rng: np.random.Generator) -> float:
-        counts_rep = rng.multinomial(n, probs)
-        return fit_binned(Histogram(edges, counts_rep), fit.family, **fit_options).ks
+        h_rep = Histogram(edges, rng.multinomial(n, probs))
+        if fit.family == "lognormal":
+            return fit_binned(h_rep, "lognormal").ks
+        return fit_binned(h_rep, "powerlaw", fit.min_tail).ks
 
     return _bootstrap(replicate, fit.ks, reps, g, workers)
 
@@ -946,8 +947,7 @@ def fit_sample(
     xmin come from ``fit_powerlaw_tail``, mu and sigma from
     ``fit_lognormal``, both at ``xmin`` (None: the scan's cutoff, and the
     whole sample for the lognormal); p and loglik_p from
-    ``bootstrap_pvalue`` with ``bootstrap`` replicates, when nonzero, each
-    refitted as its fit was made (the power law at ``xmin``, if given); LR and
+    ``bootstrap_pvalue`` with ``bootstrap`` replicates, when nonzero; LR and
     LR_p, with dist "both", from ``compare_families`` at the power law's
     cutoff. With dist "both" and an ``xmin``, the two fits are the
     comparison's own. dist is ``label``, else the first family fitted.
@@ -983,10 +983,7 @@ def fit_sample(
         row["gamma"], _ = pl.params
         row["xmin"] = pl.xmin
         if bootstrap:
-            refit = None if xmin is None else {"xmin": xmin}  # as pl was fitted
-            row["p"] = bootstrap_pvalue(
-                s, pl, bootstrap, g, refit, quantize_step=quantize_step, workers=workers
-            ).p
+            row["p"] = bootstrap_pvalue(s, pl, bootstrap, g, workers=workers).p
     if dist in ("lognormal", "both"):
         if ln is None:
             ln = fit_lognormal(s, xmin=xmin)
@@ -995,9 +992,7 @@ def fit_sample(
             row["dist"] = label or "lognormal"
             row["xmin"] = ln.xmin
         if bootstrap:
-            row["loglik_p"] = bootstrap_pvalue(
-                s, ln, bootstrap, g, quantize_step=quantize_step, workers=workers
-            ).p
+            row["loglik_p"] = bootstrap_pvalue(s, ln, bootstrap, g, workers=workers).p
     if dist == "both":
         if comparison is None:
             comparison = compare_families(s, pl.xmin)
@@ -1105,7 +1100,7 @@ def _fit_binned_powerlaw(edges, counts, n, min_tail) -> FitReport:
     if best is None:
         raise DegenerateSampleError("no viable cutoff for the binned power-law fit")
     ks, gamma, n_tail, xmin = best
-    return FitReport("powerlaw", (gamma, xmin), xmin, n_tail, ks, n)
+    return FitReport("powerlaw", (gamma, xmin), xmin, n_tail, ks, n, min_tail)
 
 
 def _binned_powerlaw_gamma(edges, counts, xmin):

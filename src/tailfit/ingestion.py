@@ -100,9 +100,9 @@ class IngestSummary:
 class EventBatch:
     """The accepted events of a block or chunk of CSV rows, as columns.
 
-    ``codes[i]`` indexes ``actors``, the batch's actor names in first-seen
-    order. ``rows`` counts the batch's rows, of any direction, and
-    ``dropped`` the malformed ones among them.
+    ``codes[i]`` indexes ``actors``, the names of the batch's actors in
+    first-seen order, each with an event. ``rows`` counts the batch's rows,
+    of any direction, and ``dropped`` the malformed ones among them.
     """
 
     timestamps: np.ndarray  # float64
@@ -331,18 +331,17 @@ def check_malformed_fraction(summary: IngestSummary) -> None:
 
 
 def _columns(batches, summary):
-    """Every event as global actor codes (first-seen order) and
-    timestamps, and the actor names. Adds each batch's row counts into
-    ``summary``."""
+    """Every event as global actor codes (first-seen order, as each batch
+    lists its actors) and timestamps, and the actor names. Adds each
+    batch's row counts into ``summary``."""
     stamps, codes = array("d"), array("i")
     names: dict[str, int] = {}
     for batch in batches:
         summary.events_read += batch.rows
         summary.events_dropped += batch.dropped
-        present, first = np.unique(batch.codes, return_index=True)
-        to_global = np.empty(len(batch.actors), np.int32)
-        for code in present[np.argsort(first)].tolist():
-            to_global[code] = names.setdefault(batch.actors[code], len(names))
+        to_global = np.array(
+            [names.setdefault(actor, len(names)) for actor in batch.actors], np.int32
+        )
         codes.frombytes(memoryview(to_global[batch.codes]).cast("B"))
         stamps.frombytes(memoryview(batch.timestamps).cast("B"))
     return (

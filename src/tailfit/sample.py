@@ -9,11 +9,15 @@ import numpy as np
 @dataclass(frozen=True)
 class DurationSample:
     """A sorted array of strictly positive durations; unsorted input is
-    sorted."""
+    sorted. ``step`` is the lattice ``binning.quantize`` floored the
+    values to, or None for values not quantized."""
 
     values: np.ndarray
+    step: float | None = None
 
     def __post_init__(self):
+        if self.step is not None and not (self.step > 0 and np.isfinite(self.step)):
+            raise ValueError(f"quantization step must be finite and positive, got {self.step!r}")
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("sample must be a non-empty 1-d array")

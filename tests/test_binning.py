@@ -113,6 +113,11 @@ class TestRescale:
         with pytest.raises(ValueError):
             rescale(small_sample(), 0.0)
 
+    def test_scales_the_lattice_step(self):
+        q, _ = quantize(small_sample(), 0.5)
+        assert rescale(q, 4.0).step == 2.0
+        assert rescale(small_sample(), 4.0).step is None
+
 
 class TestQuantize:
     def test_floor_semantics(self):
@@ -120,6 +125,16 @@ class TestQuantize:
         q, dropped = quantize(s, 1.0)
         np.testing.assert_array_equal(q.values, [1.0, 3.0, 4.0, 7.0])
         assert dropped == 1
+
+    def test_records_the_step(self):
+        assert small_sample().step is None
+        q, _ = quantize(small_sample(), 0.7)
+        assert q.step == 0.7
+
+    @pytest.mark.parametrize("step", [0.0, -1.0, math.inf, math.nan])
+    def test_sample_rejects_a_bad_step(self, step):
+        with pytest.raises(ValueError, match="quantization step must be finite and positive"):
+            DurationSample(np.array([1.0, 2.0]), step)
 
     def test_floor_to_step_keeps_order(self):
         # The bootstrap floors its unsorted replicates with the same function.

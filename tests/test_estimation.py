@@ -37,7 +37,7 @@ from tailfit import (
 )
 from tailfit.binning import Histogram
 from tailfit import estimation, pool
-from tailfit.binning import quantize
+from tailfit.binning import floor_to_step, quantize
 from tailfit.distributions import _LOG_SQRT_2PI
 from tailfit.estimation import (
     FitConvergenceError,
@@ -105,7 +105,9 @@ def reference_scan(s, min_tail=50, max_candidates=1000):
         raise DegenerateSampleError("no valid cutoff candidate")
     ks, i, gamma = best
     xmin = float(x[i])
-    return FitReport("powerlaw", (float(gamma), xmin), xmin, n - i, ks, n)
+    return FitReport(
+        "powerlaw", (float(gamma), xmin), xmin, n - i, ks, n, min_tail, max_candidates
+    )
 
 
 def reference_truncated_lognormal_loglik(y, w, mu, sigma):
@@ -617,17 +619,14 @@ class TestBootstrap:
     def test_well_specified_model_not_rejected(self):
         s = sample_powerlaw(PowerLawModel(2.0, 1.0), 2_000, SeededGenerator(120))
         fit = fit_powerlaw_tail(s, max_candidates=100)
-        p = bootstrap_pvalue(
-            s, fit, 100, SeededGenerator(121), fit_options={"max_candidates": 100}
-        ).p
+        p = bootstrap_pvalue(s, fit, 100, SeededGenerator(121)).p
         assert p > 0.05
 
     def test_reproducible(self):
         s = sample_powerlaw(PowerLawModel(2.0, 1.0), 1_000, SeededGenerator(122))
         fit = fit_powerlaw_tail(s, max_candidates=50)
-        opts = {"fit_options": {"max_candidates": 50}}
-        p1 = bootstrap_pvalue(s, fit, 100, SeededGenerator(123), **opts).p
-        p2 = bootstrap_pvalue(s, fit, 100, SeededGenerator(123), **opts).p
+        p1 = bootstrap_pvalue(s, fit, 100, SeededGenerator(123)).p
+        p2 = bootstrap_pvalue(s, fit, 100, SeededGenerator(123)).p
         assert p1 == p2
 
     def test_rejects_too_few_reps(self):
@@ -715,6 +714,81 @@ class TestBootstrap:
         assert p > 0.05
 
 
+class TestBootstrapRefitsAsFitted:
+    """Every replicate is refitted by the rule that made the fit, which the
+    FitReport records, and quantized to the lattice the sample records."""
+
+    def calls(self, monkeypatch, name):
+        """The (arguments, keyword arguments) of every later call of
+        ``estimation.<name>``."""
+        real = getattr(estimation, name)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, name, spy)
+        return calls
+
+    def test_scan_keeps_its_min_tail_and_max_candidates(self, monkeypatch):
+        s = sample_powerlaw(PowerLawModel(2.5, 1.0), 500, SeededGenerator(180))
+        fit = fit_powerlaw_tail(s, min_tail=80, max_candidates=30)
+        assert (fit.min_tail, fit.max_candidates) == (80, 30)
+        calls = self.calls(monkeypatch, "fit_powerlaw_tail")
+        bootstrap_pvalue(s, fit, 100, SeededGenerator(181))
+        scan = {"min_tail": 80, "max_candidates": 30}
+        assert [(a[1:], k) for a, k in calls] == [((), scan)] * 100
+
+    def test_powerlaw_at_a_given_cutoff_is_refitted_at_it(self, monkeypatch):
+        s = sample_powerlaw(PowerLawModel(2.5, 1.0), 500, SeededGenerator(182))
+        fit = fit_powerlaw_tail(s, xmin=1.5)
+        assert (fit.min_tail, fit.max_candidates) == (None, None)
+        calls = self.calls(monkeypatch, "fit_powerlaw_tail")
+        bootstrap_pvalue(s, fit, 100, SeededGenerator(183))
+        assert [(a[1:], k) for a, k in calls] == [((), {"xmin": 1.5})] * 100
+
+    def test_truncated_lognormal_is_refitted_at_its_cutoff(self, monkeypatch):
+        s = sample_lognormal(LognormalModel(3.0, 1.0), 400, SeededGenerator(184))
+        xmin = float(np.median(s.values))
+        fit = fit_lognormal(s, xmin=xmin)
+        assert (fit.min_tail, fit.max_candidates) == (None, None)
+        calls = self.calls(monkeypatch, "fit_lognormal")
+        bootstrap_pvalue(s, fit, 100, SeededGenerator(185))
+        assert [(a[1:], k) for a, k in calls] == [((), {"xmin": xmin})] * 100
+
+    def test_binned_scan_keeps_its_min_tail(self, monkeypatch):
+        edges = np.exp(np.linspace(0.0, 8.0, 25))
+        probs = np.diff(PowerLawModel(1.8, 1.0).cdf(edges))
+        counts = SeededGenerator(186).rng().multinomial(2_000, probs / probs.sum())
+        h = Histogram(edges, counts)
+        fit = fit_binned(h, "powerlaw", min_tail=350)
+        assert (fit.min_tail, fit.max_candidates) == (350, None)
+        calls = self.calls(monkeypatch, "fit_binned")
+        bootstrap_pvalue_binned(h, fit, 100, SeededGenerator(187))
+        assert [(a[1:], k) for a, k in calls] == [(("powerlaw", 350), {})] * 100
+
+    def test_quantized_body_is_not_floored_again(self, monkeypatch):
+        # floor(q / step) * step is not idempotent when step is not exact in
+        # float64: on a lattice of 0.7 a second floor moves the cells 2.1,
+        # 4.2 and 8.4 one cell down. The body draws are values of the sample
+        # and stay so; only the model's tail draws, at or above a cutoff
+        # that is a fixed cell, are floored.
+        raw = np.concatenate([
+            np.repeat([2.15, 4.25, 8.45], 100),
+            sample_powerlaw(PowerLawModel(2.5, 9.1), 300, SeededGenerator(188)).values,
+        ])
+        s, _ = quantize(DurationSample(raw), 0.7)
+        body = s.values[:300]
+        assert not np.isin(floor_to_step(body, 0.7), body).any()
+        calls = self.calls(monkeypatch, "fit_powerlaw_tail")
+        fit_sample(DurationSample(raw), "powerlaw", xmin=9.1, bootstrap=100, quantize_step=0.7)
+        assert len(calls) == 101  # the fit, then 100 refits
+        for (sample,), _ in calls:
+            below = sample.values[sample.values < 9.1]
+            assert below.size and np.isin(below, body).all()
+
+
 class TestBootstrapWorkers:
     """The replicate pool: results equal for every worker count, with the
     CPU cap lifted so that three workers really run on any host."""
@@ -735,11 +809,9 @@ class TestBootstrapWorkers:
     def test_powerlaw_quantized(self):
         s = sample_lognormal(LognormalModel(3.0, 1.5), 600, SeededGenerator(160))
         q, _ = quantize(s, 2.0)
-        opts = {"max_candidates": 40}
-        fit = fit_powerlaw_tail(q, **opts)
+        fit = fit_powerlaw_tail(q, max_candidates=40)
         result = self.by_workers(lambda w: bootstrap_pvalue(
-            q, fit, self.REPS, SeededGenerator(161), fit_options=opts,
-            quantize_step=2.0, workers=w,
+            q, fit, self.REPS, SeededGenerator(161), workers=w
         ))
         assert 0.0 <= result.p <= 1.0
 

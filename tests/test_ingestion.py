@@ -618,6 +618,30 @@ class TestWorkerRanges:
             serial = run(lambda: io.StringIO(universal))
         assert blocks == serial
 
+    @settings(max_examples=200, deadline=None)
+    @given(event_logs(PLAIN_ACTORS), st.sampled_from(WANTED), st.integers(1, 6),
+           st.integers(8, 64))
+    def test_batches_number_their_actors_in_first_seen_order(self, text, direction, chunk, block):
+        # What _columns relies on, from the numpy block parser (a file in
+        # blocks of a few dozen bytes, with blocks it declines) and from
+        # csv.reader (a stream): code k is the batch's k-th distinct actor,
+        # and every listed actor has an event.
+        def batches(open_stream):
+            with open_stream() as fh:
+                return outcome(lambda: list(parse_events(fh, direction)))
+
+        with mock.patch.multiple(ingestion, CHUNK_ROWS=chunk, BLOCK_BYTES=block):
+            from_file = on_disk(
+                text.encode(), lambda path: batches(partial(open, path, encoding="utf-8"))
+            )
+            from_stream = batches(lambda: io.StringIO(text))
+        for got in (from_file, from_stream):
+            if isinstance(got, tuple):
+                continue  # a header neither parser reads
+            for b in got:
+                assert b.codes.dtype == np.int32
+                assert list(dict.fromkeys(b.codes.tolist())) == list(range(len(b.actors)))
+
     @settings(max_examples=40, deadline=None)
     @given(duration_lines(), st.integers(1, 6), LINE_ENDS, st.booleans())
     # Lines longer than a whole range (12 ranges of about 18 bytes), so that

@@ -93,9 +93,7 @@ def test_outputs_equal_at_one_and_two_workers(tmp_path, monkeypatch):
     fit = fit_lognormal(s)
     results = []
     for workers in (1, 2):
-        boot = bootstrap_pvalue(
-            s, fit, 100, SeededGenerator(41), quantize_step=3600.0, workers=workers
-        )
+        boot = bootstrap_pvalue(s, fit, 100, SeededGenerator(41), workers=workers)
         path = tmp_path / f"durations{workers}.txt"
         with open(path, "w") as fh:
             write_durations_text(s, fh, workers)

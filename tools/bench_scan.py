@@ -6,8 +6,8 @@ on its own, and count the candidates it scores exactly.
 
 ``lattices`` scans the samples that the README run's power-law bootstrap
 refits: the README sample (lognormal(10.45, 2.75), n=41184, seed 1)
-quantized to 3600, then ``reps`` replicates drawn by ``bootstrap_pvalue``
-with the same quantization (seed 1). ``distinct`` scans one all-distinct
+quantized to 3600, then ``reps`` replicates drawn by ``bootstrap_pvalue``,
+which quantizes them to the sample's step (seed 1). ``distinct`` scans one all-distinct
 lognormal(10.45, 2.75) sample of n values (seed 1). Inputs are made
 before any timing. Exact scorings are calls of the scan's per-candidate
 KS kernel. The last line printed is one JSON object, including a sha256
@@ -45,9 +45,7 @@ def readme_lattices(reps: int) -> list:
 
     estimation.fit_powerlaw_tail = record
     try:
-        estimation.bootstrap_pvalue(
-            sample, fit, max(reps, 100), SeededGenerator(1), quantize_step=STEP
-        )
+        estimation.bootstrap_pvalue(sample, fit, max(reps, 100), SeededGenerator(1))
     finally:
         estimation.fit_powerlaw_tail = scan
     return seen[:reps]
