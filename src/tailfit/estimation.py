@@ -256,30 +256,32 @@ def _ks_lower_bounds(x, g_starts, g_ends, cand, m, gamma) -> np.ndarray:
     the float operations of ``_powerlaw_tail_ks`` on a subset of its runs,
     so each bound is at most the candidate's KS.
     """
-    g_x = x[g_starts]
+    g_x = x[g_starts, None]
     lb = np.empty(cand.size)
     k0 = 0
     while k0 < cand.size:
         # Candidates ascend, so grid runs below the block's first cutoff
-        # lie below every cutoff of the block.
+        # lie below every cutoff of the block. A block is laid out as
+        # (grid runs, candidates), so that numpy's inner loops run over
+        # the candidates, of which there are many more.
         c0 = int(np.searchsorted(g_starts, cand[k0]))
         k1 = min(cand.size, k0 + max(1, KS_BOUND_BLOCK // max(1, g_starts.size - c0)))
-        i = cand[k0:k1, None]
-        mk = m[k0:k1, None]
+        i = cand[k0:k1]
+        mk = m[k0:k1]
         # Clipping leaves grid runs in a tail as they are (their ratio is
         # >= 1 and their counts >= 0) and turns the others into zero terms.
         e = np.maximum(g_x[c0:] / x[i], 1.0)
         np.log(e, out=e)
-        np.multiply(1.0 - gamma[k0:k1, None], e, out=e)
+        np.multiply(1.0 - gamma[k0:k1], e, out=e)
         np.expm1(e, out=e)  # the cdf is -e, and lo - (-e) == lo + e exactly
-        lo = np.maximum(g_starts[c0:] - i, 0) / mk
-        hi = np.maximum(g_ends[c0:] - i, 0) / mk
+        lo = np.maximum(g_starts[c0:, None] - i, 0) / mk
+        hi = np.maximum(g_ends[c0:, None] - i, 0) / mk
         lo += e
         hi += e
         np.abs(lo, out=lo)
         np.abs(hi, out=hi)
         np.maximum(lo, hi, out=lo)
-        lb[k0:k1] = lo.max(axis=1, initial=0.0)
+        lb[k0:k1] = lo.max(axis=0, initial=0.0)
         k0 = k1
     return lb
 
@@ -343,7 +345,9 @@ def fit_powerlaw_tail(
     candidates = _run_bounds(view, runs)[0]
 
     log_x = np.log(x)
-    suffix = np.concatenate([np.cumsum(log_x[::-1])[::-1], [0.0]])
+    # suffix[i] is the sum of log_x[i:], summed from the top down.
+    suffix = np.zeros(n + 1)
+    np.cumsum(log_x[::-1], out=suffix[n - 1::-1])
 
     m = n - candidates
     denom = suffix[candidates] - m * log_x[candidates]
@@ -743,12 +747,19 @@ def bootstrap_pvalue(
     replicate runs. ``workers`` > 1 runs the replicates in forked worker
     processes; the result does not depend on it.
     """
+    return _bootstrap([_bootstrap_job(s, fit, reps)], reps, g, workers)[0]
+
+
+def _bootstrap_job(s: DurationSample, fit: FitReport, reps: int):
+    """``bootstrap_pvalue``'s job for ``_bootstrap``: its replicate and the
+    observed KS. Raises for a tail too heavy to bootstrap."""
     n = fit.n_total
     xmin = fit.xmin if fit.xmin is not None else 0.0
     body = s.values[:int(np.searchsorted(s.values, xmin))]
     p_tail = fit.n_tail / n
     model = fit.model()
     _check_tail_fits_float64(model, fit, reps)
+    draw_body = _sorted_resampler(body)
 
     def replicate(rng: np.random.Generator) -> float:
         k = int(rng.binomial(n, p_tail))
@@ -762,7 +773,9 @@ def bootstrap_pvalue(
                 tail = binning.floor_to_step(tail, s.step)
             parts.append(tail)
         if n - k > 0:
-            parts.append(rng.choice(body, size=n - k, replace=True))
+            # Drawn after the tail and put before it: the body lies below
+            # the cutoff, so on an exact lattice the sample is ascending.
+            parts.insert(0, draw_body(n - k, rng))
         values = np.concatenate(parts)
         if values.size < 2:
             raise DegenerateSampleError("replicate keeps fewer than two values")
@@ -775,7 +788,7 @@ def bootstrap_pvalue(
             synthetic, min_tail=fit.min_tail, max_candidates=fit.max_candidates
         ).ks
 
-    return _bootstrap(replicate, fit.ks, reps, g, workers)
+    return replicate, fit.ks
 
 
 def _check_tail_fits_float64(model, fit: FitReport, reps: int) -> None:
@@ -797,15 +810,16 @@ def _check_tail_fits_float64(model, fit: FitReport, reps: int) -> None:
 
 
 def _draw_tail(model, fit: FitReport, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k draws from the fitted tail, in ascending order.
+
+    A replicate is taken as a sorted sample, so the draws' order is free:
+    both quantiles rise with u, so ascending u gives the tail sorted
+    already, in place of DurationSample's sort, and puts each branch of the
+    normal quantile in one contiguous block.
+    """
     u = rng.random(k)
-    if fit.family == "powerlaw":
-        return model.quantile(u)
-    if fit.xmin is None:
-        # The replicate is this tail alone, taken as a sorted sample, so
-        # the draws' order is free: ascending u gives its values sorted
-        # already, in place of DurationSample's sort, and puts each branch
-        # of the normal quantile in one contiguous block.
-        u.sort()
+    u.sort()
+    if fit.family == "powerlaw" or fit.xmin is None:
         return model.quantile(u)
     # Truncated lognormal tail: solve S(x) = (1 - u) * S(xmin) for the
     # survival function S in log space, since 1 - cdf(xmin) rounds to 0
@@ -813,6 +827,26 @@ def _draw_tail(model, fit: FitReport, k: int, rng: np.random.Generator) -> np.nd
     # for u near 0 an ulp below the cutoff; clip it back.
     log_sf = model.logsf(fit.xmin) + np.log1p(-u)
     return np.maximum(np.exp(model.mu - model.sigma * ndtri_exp(log_sf)), fit.xmin)
+
+
+def _sorted_resampler(body: np.ndarray):
+    """A function of (m, rng) that returns ``np.sort(rng.choice(body, m,
+    replace=True))`` for the ascending array ``body``, without the sort.
+
+    It draws the same indices, by the same call, counts the draws that fall
+    in each run of equal values and repeats each run's value that often.
+    Counting per index, ``np.repeat(body, np.bincount(i))``, gives the same
+    values, but on a tie-heavy body it is slower than sorting: counting
+    per run keeps the bincount and the repeat to the runs' length.
+    """
+    values, counts = np.unique(body, return_counts=True)
+    run_of = np.repeat(np.arange(values.size), counts)
+
+    def draw(m: int, rng: np.random.Generator) -> np.ndarray:
+        i = rng.integers(0, body.size, size=m)
+        return np.repeat(values, np.bincount(run_of[i], minlength=values.size))
+
+    return draw
 
 
 def bootstrap_pvalue_binned(
@@ -844,18 +878,21 @@ def bootstrap_pvalue_binned(
             return fit_binned(h_rep, "lognormal").ks
         return fit_binned(h_rep, "powerlaw", fit.min_tail).ks
 
-    return _bootstrap(replicate, fit.ks, reps, g, workers)
+    return _bootstrap([(replicate, fit.ks)], reps, g, workers)[0]
 
 
-def _bootstrap(replicate, observed_ks: float, reps: int, g, workers: int) -> BootstrapResult:
-    """Run ``replicate(g.substream(rep))`` for every rep in range(reps) and
-    score each refit KS against the observed one.
+def _bootstrap(jobs, reps: int, g, workers: int) -> list[BootstrapResult]:
+    """For each job (replicate, observed_ks), run ``replicate(g.substream(rep))``
+    for every rep in range(reps) and score each refit KS against the
+    observed one.
 
     With ``workers`` > 1, contiguous ranges of replicate indices run in
-    forked processes (``pool.run_ranges``), which inherit ``replicate``
-    and everything it refers to. Every replicate draws from its own
-    substream and p is a hit count over ``reps``, so the result is the
-    same for any worker count.
+    one pool of forked processes (``pool.run_ranges``), which inherit every
+    job and everything it refers to. Job j's replicates are the indices
+    j * reps + rep, cut into the ranges one job alone would have. Every
+    replicate draws from its own substream and p is a hit count over
+    ``reps``, so the results are the same for any worker count and equal
+    those of each job run alone.
     """
     if reps < 100:
         raise ValueError("need at least 100 bootstrap replicates")
@@ -864,19 +901,30 @@ def _bootstrap(replicate, observed_ks: float, reps: int, g, workers: int) -> Boo
     import numpy.random  # noqa: F401
 
     workers = usable_workers(workers)
-    ranges = even_ranges(reps, workers * RANGES_PER_WORKER)
-    parts = run_ranges(partial(_replicates, replicate, g), ranges, workers)
-    ks = tuple(k for part in parts for k in part)
-    hits = sum(k >= observed_ks for k in ks)
-    return BootstrapResult(hits / reps, ks, ks.count(math.inf))
+    ranges = [
+        (j * reps + lo, j * reps + hi)
+        for j in range(len(jobs))
+        for lo, hi in even_ranges(reps, workers * RANGES_PER_WORKER)
+    ]
+    replicates = [replicate for replicate, _ in jobs]
+    parts = run_ranges(partial(_replicates, replicates, reps, g), ranges, workers)
+    ks = [k for part in parts for k in part]
+    results = []
+    for j, (_, observed_ks) in enumerate(jobs):
+        job_ks = tuple(ks[j * reps:(j + 1) * reps])
+        hits = sum(k >= observed_ks for k in job_ks)
+        results.append(BootstrapResult(hits / reps, job_ks, job_ks.count(math.inf)))
+    return results
 
 
-def _replicates(replicate, g, start: int, stop: int) -> list[float]:
-    """The refit KS of replicates start..stop-1; inf where the refit raised."""
+def _replicates(replicates, reps: int, g, start: int, stop: int) -> list[float]:
+    """The refit KS of replicates start..stop-1, replicate i being rep
+    i % reps of job i // reps; inf where the refit raised."""
     ks = []
-    for rep in range(start, stop):
+    for i in range(start, stop):
+        job, rep = divmod(i, reps)
         try:
-            ks.append(float(replicate(g.substream(rep))))
+            ks.append(float(replicates[job](g.substream(rep))))
         except (DegenerateSampleError, FitConvergenceError):
             ks.append(math.inf)
     return ks
@@ -946,11 +994,13 @@ def fit_sample(
     apply, and quantize_dropped when the sample was quantized. gamma and
     xmin come from ``fit_powerlaw_tail``, mu and sigma from
     ``fit_lognormal``, both at ``xmin`` (None: the scan's cutoff, and the
-    whole sample for the lognormal); p and loglik_p from
-    ``bootstrap_pvalue`` with ``bootstrap`` replicates, when nonzero; LR and
-    LR_p, with dist "both", from ``compare_families`` at the power law's
-    cutoff. With dist "both" and an ``xmin``, the two fits are the
-    comparison's own. dist is ``label``, else the first family fitted.
+    whole sample for the lognormal); LR and LR_p, with dist "both", from
+    ``compare_families`` at the power law's cutoff. With dist "both" and
+    an ``xmin``, the two fits are the comparison's own. dist is ``label``,
+    else the first family fitted. p and loglik_p are ``bootstrap_pvalue``'s
+    with ``bootstrap`` replicates, when nonzero: every fit is made first,
+    then the replicates of both families run in one pool of ``workers``
+    processes, each family's p the same as if it ran alone.
     """
     if dist not in ("powerlaw", "lognormal", "both"):
         raise ValueError(f"dist must be powerlaw, lognormal or both, got {dist!r}")
@@ -973,6 +1023,7 @@ def fit_sample(
 
     # Without xmin the comparison refits at the scan's cutoff, below.
     pl = ln = comparison = None
+    jobs = []
     if dist == "both" and xmin is not None:
         comparison = compare_families(s, xmin)
         pl, ln = comparison.powerlaw, comparison.lognormal
@@ -983,7 +1034,7 @@ def fit_sample(
         row["gamma"], _ = pl.params
         row["xmin"] = pl.xmin
         if bootstrap:
-            row["p"] = bootstrap_pvalue(s, pl, bootstrap, g, workers=workers).p
+            jobs.append(("p", _bootstrap_job(s, pl, bootstrap)))
     if dist in ("lognormal", "both"):
         if ln is None:
             ln = fit_lognormal(s, xmin=xmin)
@@ -992,11 +1043,15 @@ def fit_sample(
             row["dist"] = label or "lognormal"
             row["xmin"] = ln.xmin
         if bootstrap:
-            row["loglik_p"] = bootstrap_pvalue(s, ln, bootstrap, g, workers=workers).p
+            jobs.append(("loglik_p", _bootstrap_job(s, ln, bootstrap)))
     if dist == "both":
         if comparison is None:
             comparison = compare_families(s, pl.xmin)
         row["LR"], row["LR_p"] = comparison.lr, comparison.p_value
+    if jobs:
+        results = _bootstrap([job for _, job in jobs], bootstrap, g, workers)
+        for (key, _), result in zip(jobs, results):
+            row[key] = result.p
     if dropped is not None:
         row["quantize_dropped"] = dropped
     return row

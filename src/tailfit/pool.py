@@ -1,10 +1,11 @@
 """Run a task over contiguous ranges of its input in forked worker processes.
 
 The bootstrap's replicate ranges and ingestion's byte and value ranges
-all go through ``run_ranges``. Workers are forked, so they inherit the
-task and everything it refers to (samples, open files, closures) from the
-parent's memory; only the range bounds and each range's result are
-pickled.
+all go through ``run_ranges``; ``tailfit fit`` forks one pool for all of
+its replicates, those of both families with ``--dist both``. Workers are
+forked, so they inherit the task and everything it refers to (samples,
+open files, closures) from the parent's memory; only the range bounds
+and each range's result are pickled.
 
 Each worker keeps the memory it frees for its next allocations: glibc's
 allocator would otherwise serve every large array with a fresh ``mmap``

@@ -587,7 +587,8 @@ class TestStartup:
     no subcommand runs, import scipy.optimize. Nor does any subcommand load
     numpy.ma, which nothing of tailfit needs. numpy.random is loaded only
     by the subcommands that draw (simulate, and fit's bootstrap), and the
-    bootstrap loads it before it forks its workers."""
+    bootstrap loads it before it forks its workers: one pool for the
+    replicates of every family fit fitted."""
 
     @pytest.fixture(scope="class")
     def workdir(self, tmp_path_factory):
@@ -643,8 +644,8 @@ class TestStartup:
             [sys.executable, "-c", code], cwd=workdir, env=env, capture_output=True, text=True
         )
         assert done.returncode == 0, done.stderr
-        # fit runs a power-law and a lognormal bootstrap.
-        loaded = [True, True] if "--bootstrap" in (args or []) else []
+        # fit runs the power-law and the lognormal replicates in one bootstrap.
+        loaded = [True] if "--bootstrap" in (args or []) else []
         assert done.stdout == f"False\n[] False {draws} {loaded}\n"
 
 

@@ -47,7 +47,7 @@ from tailfit.estimation import (
     bootstrap_pvalue_binned,
     verdict,
 )
-from tailfit.normal import log_ndtr
+from tailfit.normal import log_ndtr, ndtri_exp
 
 
 def reference_tail_ks(tail, xmin, gamma):
@@ -675,6 +675,19 @@ class TestBootstrap:
         with pytest.raises(DegenerateSampleError, match="passes the largest float64"):
             bootstrap_pvalue(s, fit, 100, SeededGenerator(133))
 
+    def test_tail_too_heavy_is_rejected_before_the_lognormal_fit(self, monkeypatch):
+        # fit --dist both checks the power law's tail before it fits the
+        # lognormal, as when each family's bootstrap ran right after its fit.
+        s = DurationSample(np.geomspace(1e300, 1.7e308, 300))
+
+        def never(*args, **kwargs):
+            raise AssertionError("the lognormal was fitted")
+
+        monkeypatch.setattr(estimation, "fit_lognormal", never)
+        monkeypatch.setattr(estimation, "run_ranges", None)  # never reached
+        with pytest.raises(DegenerateSampleError, match="passes the largest float64"):
+            fit_sample(s, "both", bootstrap=100)
+
     def test_uncertified_truncated_fit_raises_and_counts_as_failed(self, monkeypatch):
         # A tolerance no Newton decrement can meet: the fit takes every step
         # it may and then raises rather than return an uncertified point,
@@ -712,6 +725,50 @@ class TestBootstrap:
         p = bootstrap_pvalue(s, fit, 100, SeededGenerator(127)).p
         assert 0.0 <= p <= 1.0
         assert p > 0.05
+
+
+class TestReplicateDraws:
+    """Replicates are drawn in ascending order: the draws, and the state
+    the generator is left in, are those of drawing unsorted and sorting."""
+
+    @pytest.mark.parametrize("ties", [True, False])
+    def test_body_is_the_sorted_choice(self, ties):
+        # Fails first if numpy's Generator.choice ever changes its stream.
+        s = sample_lognormal(LognormalModel(8.0, 2.0), 5_000, SeededGenerator(190))
+        body = quantize(s, 600.0)[0].values if ties else s.values
+        assert (np.unique(body).size < body.size) == ties
+        rng, expected_rng = np.random.default_rng(191), np.random.default_rng(191)
+        draws = estimation._sorted_resampler(body)(7_000, rng)
+        expected = np.sort(expected_rng.choice(body, 7_000, replace=True))
+        assert draws.dtype == expected.dtype and draws.tobytes() == expected.tobytes()
+        assert rng.random() == expected_rng.random()
+
+    @pytest.mark.parametrize(
+        "xmin", [None, 8.0, 1e4], ids=["powerlaw", "lognormal-8", "lognormal-1e4"]
+    )
+    def test_tail_from_sorted_u_is_the_sorted_tail(self, xmin):
+        # A power law, and lognormals truncated where most of the mass lies
+        # above the cutoff and where almost none does (every branch of the
+        # normal quantile).
+        k = 20_000
+        if xmin is None:
+            fit = FitReport("powerlaw", (2.2, 3.0), 3.0, k, 0.1, 2 * k)
+            model = fit.model()
+
+            def unsorted(u):
+                return model.quantile(u)
+        else:
+            fit = FitReport("lognormal", (2.0, 1.5), xmin, k, 0.1, 2 * k)
+            model = fit.model()
+
+            def unsorted(u):
+                log_sf = model.logsf(xmin) + np.log1p(-u)
+                return np.maximum(np.exp(model.mu - model.sigma * ndtri_exp(log_sf)), xmin)
+
+        rng, expected_rng = np.random.default_rng(192), np.random.default_rng(192)
+        tail = _draw_tail(model, fit, k, rng)
+        assert tail.tobytes() == np.sort(unsorted(expected_rng.random(k))).tobytes()
+        assert rng.random() == expected_rng.random()
 
 
 class TestBootstrapRefitsAsFitted:
@@ -833,8 +890,24 @@ class TestBootstrapWorkers:
             h, fit, self.REPS, SeededGenerator(165), workers=w
         ))
 
+    @pytest.mark.parametrize("cutoff", ["truncated", "untruncated"])
+    def test_two_jobs_in_one_pool_equal_each_alone(self, cutoff):
+        # fit --dist both runs both families' replicates in one pool; each
+        # job keeps its own replicates, substreams and hit count.
+        s = sample_lognormal(LognormalModel(3.0, 1.5), 600, SeededGenerator(173))
+        q, _ = quantize(s, 2.0)
+        pl = fit_powerlaw_tail(q, max_candidates=40)
+        ln = fit_lognormal(q, xmin=float(np.median(q.values)) if cutoff == "truncated" else None)
+        jobs = [estimation._bootstrap_job(q, fit, self.REPS) for fit in (pl, ln)]
+        for w in (1, 2, 3):
+            alone = [_bootstrap([job], self.REPS, SeededGenerator(174), w)[0] for job in jobs]
+            assert _bootstrap(jobs, self.REPS, SeededGenerator(174), w) == alone
+        assert alone[0] != alone[1]
+
     def test_replicates_run_outside_the_caller(self):
-        result = _bootstrap(lambda rng: float(os.getpid()), 0.0, self.REPS, SeededGenerator(0), 2)
+        [result] = _bootstrap(
+            [(lambda rng: float(os.getpid()), 0.0)], self.REPS, SeededGenerator(0), 2
+        )
         assert os.getpid() not in result.ks
 
     def test_failed_refits_counted_and_scored_as_hits(self):
@@ -844,7 +917,7 @@ class TestBootstrapWorkers:
             return 0.0
 
         result = self.by_workers(
-            lambda w: _bootstrap(replicate, 0.5, self.REPS, SeededGenerator(166), w)
+            lambda w: _bootstrap([(replicate, 0.5)], self.REPS, SeededGenerator(166), w)[0]
         )
         assert 0 < result.failed < self.REPS
         assert result.ks.count(math.inf) == result.failed
@@ -869,7 +942,7 @@ class TestBootstrapWorkers:
             return 0.0
 
         with pytest.raises(BrokenProcessPool):
-            _bootstrap(replicate, 0.0, self.REPS, SeededGenerator(0), 2)
+            _bootstrap([(replicate, 0.0)], self.REPS, SeededGenerator(0), 2)
 
     def test_nonconverged_refits_counted(self, monkeypatch):
         def stalled(*args, **kwargs):
@@ -884,7 +957,7 @@ class TestBootstrapWorkers:
 
     def test_rejects_no_workers(self):
         with pytest.raises(ValueError):
-            _bootstrap(lambda rng: 0.0, 0.0, 100, SeededGenerator(0), 0)
+            _bootstrap([(lambda rng: 0.0, 0.0)], 100, SeededGenerator(0), 0)
 
 
 class TestCompareFamilies:
