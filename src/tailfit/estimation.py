@@ -11,9 +11,8 @@ semi-parametric scheme: synthetic tails from the fitted model, synthetic
 bodies resampled from the empirical data below the cutoff; their
 replicates can run in forked worker processes without changing p.
 
-The normal cdf, its logarithm and its inverse come from ``tailfit.normal``
-(numpy only). scipy is imported only by the binned fits, which need
-``scipy.optimize``, when they run; no command-line path calls them.
+The normal cdf, its logarithm and its inverse come from ``tailfit.normal``;
+every fit, the binned ones too, is solved with numpy alone.
 """
 from __future__ import annotations
 
@@ -479,13 +478,16 @@ def _log_moments(x: np.ndarray) -> tuple[np.ndarray, float, float]:
 SIGMA_MAX = 5.0
 SIGMA_MIN = 1e-6
 
-# The truncated fit stops when the Newton decrement certifies the point:
-# the gain its quadratic model predicts for the mean log-likelihood, in
-# units of the tail's own log spread, is at most NEWTON_TOL. Failing that
-# within NEWTON_MAX_STEPS steps raises FitConvergenceError. Steps whose
-# predicted gain is above _DAMPED_GAIN are backtracked until they gain a
-# quarter of their first-order prediction; smaller ones are taken whole,
-# as rounding would swamp the comparison.
+# The Newton fits (``_newton``) stop when the decrement certifies the
+# point: the gain their quadratic model predicts for the mean
+# log-likelihood, in units of the data's own log spread, is at most
+# NEWTON_TOL. In those units rounding leaves a gradient of J terms of order
+# one off by about J 2**-53, which predicts a gain of its square over twice
+# the Hessian's least eigenvalue: 1e-20 for J = 100 and an eigenvalue of
+# 1e-8. Failing that within NEWTON_MAX_STEPS steps raises
+# FitConvergenceError. Steps whose predicted gain is above _DAMPED_GAIN are
+# backtracked until they gain a quarter of their first-order prediction;
+# smaller ones are taken whole, as rounding would swamp the comparison.
 NEWTON_TOL = 1e-20
 NEWTON_MAX_STEPS = 50
 _DAMPED_GAIN = 1e-12
@@ -531,9 +533,8 @@ def _truncated_lognormal_newton(w: float, stats) -> tuple[float, float]:
     parameters eta = (nu / tau**2, -1 / (2 tau**2)) of the normal N(nu,
     tau**2) truncated to [wz, inf) (see ``_truncated_normal_terms``). Each
     bound is a line in eta: sigma's fix eta2, and mu >= b reads
-    eta1 + 2 b' eta2 >= 0, b' being b in u units. Each step minimizes the
-    quadratic model within the bounds exactly (``_bounded_newton_step``);
-    the gain it predicts is half the square of the Newton decrement.
+    eta1 + 2 b' eta2 >= 0, b' being b in u units. ``_newton`` takes the
+    steps.
     """
     origin, top, mean, shift, sd = stats
 
@@ -562,37 +563,10 @@ def _truncated_lognormal_newton(w: float, stats) -> tuple[float, float]:
     rows = [(0.0, 1.0), (0.0, -1.0), cone(-1.0, nu_lo), cone(1.0, nu_hi)]
     rhs = [e2_hi, -e2_lo, 0.0, 0.0]
     tau = min(1.0, tau_hi)  # the tail's own spread; tau_lo <= 1 by _tail_statistics
-    eta = clip(u1 / tau**2, -0.5 / tau**2)
-    held = frozenset()  # the bounds the last step moved onto or along
-    for step in range(NEWTON_MAX_STEPS + 1):
-        f, g, h = _truncated_normal_terms(*eta, wz, u1)
-        slack = [
-            0.0 if i in held else max(r - c[0] * eta[0] - c[1] * eta[1], 0.0)
-            for i, (c, r) in enumerate(zip(rows, rhs))
-        ]
-        gain, p, active = _bounded_newton_step(g, h, rows, slack)
-        if gain <= NEWTON_TOL:
-            break
-        if step == NEWTON_MAX_STEPS:
-            raise FitConvergenceError(
-                f"truncated lognormal fit not certified after {step} Newton steps "
-                f"(predicted gain {gain:.3g} a point, tolerance {NEWTON_TOL:g})"
-            )
-        t = 1.0
-        if gain > _DAMPED_GAIN:
-            slope = g[0] * p[0] + g[1] * p[1]
-            while True:
-                trial = clip(eta[0] + t * p[0], eta[1] + t * p[1])
-                if _truncated_normal_terms(*trial, wz, u1)[0] <= f + 0.25 * t * slope:
-                    break
-                t *= 0.5
-                if t < 1e-12:
-                    raise FitConvergenceError(
-                        "truncated lognormal fit: no step along the Newton direction "
-                        f"gains (predicted gain {gain:.3g} a point)"
-                    )
-        held = frozenset(i for i in active if t == 1.0 or i in held)
-        eta = clip(eta[0] + t * p[0], eta[1] + t * p[1])
+    eta, held = _newton(
+        lambda e1, e2: _truncated_normal_terms(e1, e2, wz, u1),
+        clip(u1 / tau**2, -0.5 / tau**2), rows, rhs, clip,
+    )
     # Held bounds are met exactly; the rest can be off by rounding.
     mu = origin + (mean + sd * -eta[0] / (2.0 * eta[1]))
     sigma = sd / math.sqrt(-2.0 * eta[1])
@@ -602,6 +576,48 @@ def _truncated_lognormal_newton(w: float, stats) -> tuple[float, float]:
         else min(max(sigma, SIGMA_MIN), SIGMA_MAX)
     )
     return mu, sigma
+
+
+def _newton(terms, x, rows=(), rhs=(), clip=lambda x1, x2: (x1, x2)):
+    """(x, held): Newton steps from ``x`` to a minimum of f within
+    rows . x <= rhs (``clip`` maps a point onto them), ``terms(x1, x2)``
+    being (f, gradient, Hessian), and the bounds held there exactly. Each
+    step minimizes the quadratic model within the bounds exactly
+    (``_bounded_newton_step``); its predicted gain, half the squared
+    Newton decrement, certifies the point at NEWTON_TOL or below.
+    """
+    held = frozenset()  # the bounds the last step moved onto or along
+    for step in range(NEWTON_MAX_STEPS + 1):
+        f, g, h = terms(*x)
+        if f == math.inf:
+            raise FitConvergenceError(f"the likelihood rounds to zero at {x}")
+        slack = [
+            0.0 if i in held else max(r - c[0] * x[0] - c[1] * x[1], 0.0)
+            for i, (c, r) in enumerate(zip(rows, rhs))
+        ]
+        gain, p, active = _bounded_newton_step(g, h, rows, slack)
+        if gain <= NEWTON_TOL:
+            return x, held
+        if step == NEWTON_MAX_STEPS:
+            raise FitConvergenceError(
+                f"fit not certified after {step} Newton steps "
+                f"(predicted gain {gain:.3g} a point, tolerance {NEWTON_TOL:g})"
+            )
+        t = 1.0
+        if gain > _DAMPED_GAIN:
+            slope = g[0] * p[0] + g[1] * p[1]
+            while True:
+                trial = clip(x[0] + t * p[0], x[1] + t * p[1])
+                if terms(*trial)[0] <= f + 0.25 * t * slope:
+                    break
+                t *= 0.5
+                if t < 1e-12:
+                    raise FitConvergenceError(
+                        "no step along the Newton direction gains "
+                        f"(predicted gain {gain:.3g} a point)"
+                    )
+        held = frozenset(i for i in active if t == 1.0 or i in held)
+        x = clip(x[0] + t * p[0], x[1] + t * p[1])
 
 
 def _truncated_normal_terms(eta1: float, eta2: float, wz: float, u1: float):
@@ -670,7 +686,7 @@ def _bounded_newton_step(g, h, rows, slack):
     h11, h12, h22 = h
     det = h11 * h22 - h12 * h12
     if not (det > 0 and h11 > 0):
-        raise FitConvergenceError(f"truncated lognormal fit: Hessian not positive definite {h}")
+        raise FitConvergenceError(f"Hessian not positive definite {h}")
 
     def solve(b1, b2):
         return (h22 * b1 - h12 * b2) / det, (h11 * b2 - h12 * b1) / det
@@ -704,7 +720,7 @@ def _bounded_newton_step(g, h, rows, slack):
             if best is None or value < best[0]:
                 best = (value, p, active)
     if best is None:
-        raise FitConvergenceError("truncated lognormal fit: no feasible Newton step")
+        raise FitConvergenceError("no feasible Newton step")
     return -best[0], best[1], frozenset(best[2])
 
 
@@ -1065,16 +1081,13 @@ def fit_binned(h: Histogram, family: str, min_tail: int = DEFAULT_MIN_TAIL) -> F
     For the power-law the cutoff is scanned over bin edges, minimizing
     the binned KS distance.
     """
-    counts = h.counts
-    edges = h.edges
-    if int(np.count_nonzero(counts)) < 3:
+    if family not in ("lognormal", "powerlaw"):
+        raise ValueError(f"unknown family {family!r}")
+    if int(np.count_nonzero(h.counts)) < 3:
         raise DegenerateSampleError("need at least three non-empty bins")
-    n = h.n
     if family == "lognormal":
-        return _fit_binned_lognormal(edges, counts, n)
-    if family == "powerlaw":
-        return _fit_binned_powerlaw(edges, counts, n, min_tail)
-    raise ValueError(f"unknown family {family!r}")
+        return _fit_binned_lognormal(h.edges, h.counts, h.n)
+    return _fit_binned_powerlaw(h.edges, h.counts, h.n, min_tail)
 
 
 def _binned_negloglik(log_probs: np.ndarray, counts: np.ndarray) -> float:
@@ -1083,8 +1096,10 @@ def _binned_negloglik(log_probs: np.ndarray, counts: np.ndarray) -> float:
 
 
 def _fit_binned_lognormal(edges, counts, n) -> FitReport:
-    from scipy import optimize
-
+    """Multinomial maximum likelihood of the lognormal conditioned on the
+    histogram's range: ``_newton`` in (alpha, beta) = (mu / sigma, 1 / sigma)
+    on the log-edges standardized by the counts' log-centre moments, from
+    those moments, (0, 1)."""
     centers = np.sqrt(edges[:-1] * edges[1:])  # geometric centers
     log_c = np.log(centers)
     w = counts / counts.sum()
@@ -1092,35 +1107,49 @@ def _fit_binned_lognormal(edges, counts, n) -> FitReport:
     sigma0 = float(np.sqrt(np.sum(w * (log_c - mu0) ** 2)))
     sigma0 = max(sigma0, 1e-3)
 
-    z_edges = np.log(edges)
-
-    def negloglik(theta):
-        mu, log_sigma = theta
-        if not (-20.0 < log_sigma < 20.0):
-            return np.inf
-        sigma = math.exp(log_sigma)
-        cdf = ndtr((z_edges - mu) / sigma)
-        probs = np.diff(cdf)
-        total = cdf[-1] - cdf[0]
-        if total <= 0 or np.any(probs[counts > 0] <= 0):
-            return np.inf
-        # Empty bins may have zero probability; they are masked out of the
-        # likelihood, so silence the log(0).
-        with np.errstate(divide="ignore"):
-            log_probs = np.log(probs)
-        return _binned_negloglik(log_probs - math.log(total), counts)
-
-    res = optimize.minimize(
-        negloglik,
-        x0=np.array([mu0, math.log(sigma0)]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 4000},
-    )
-    if not res.success:
-        raise FitConvergenceError(f"binned lognormal optimizer failed: {res.message}")
-    mu, sigma = float(res.x[0]), float(math.exp(res.x[1]))
-    ks = _binned_ks(LognormalModel(mu, sigma), edges, counts)
+    u = (np.log(edges) - mu0) / sigma0
+    # The non-empty cells, then the range, as [u[lo], u[hi]], with their
+    # weights in the mean negative log-likelihood.
+    lo = np.append(np.flatnonzero(counts), 0)
+    hi = np.append(lo[:-1] + 1, u.size - 1)
+    weight = np.append(-w[lo[:-1]], 1.0)
+    terms = partial(_grouped_normal_terms, u_lo=u[lo], u_hi=u[hi], weight=weight)
+    (alpha, beta), _ = _newton(terms, (0.0, 1.0))
+    mu, sigma = mu0 + sigma0 * alpha / beta, sigma0 / beta
+    # A lognormal that mimics a power law far in its own tail can be most
+    # likely, yet leave the range no mass in float64 cdf values, which the
+    # KS and the binned bootstrap take.
+    with np.errstate(invalid="ignore"):
+        ks = _binned_ks(LognormalModel(mu, sigma), edges, counts)
+    if math.isnan(ks):
+        raise FitConvergenceError(f"the fit ({mu:.6g}, {sigma:.6g}) leaves the range no mass")
     return FitReport("lognormal", (mu, sigma), None, n, ks, n)
+
+
+def _grouped_normal_terms(alpha: float, beta: float, u_lo, u_hi, weight):
+    """f = sum(weight * log P), P the normal mass of [z_lo, z_hi], z = beta * u
+    - alpha, with its gradient and Hessian in (alpha, beta); inf where a
+    term is not finite, as where a mass is zero or beta <= 0 makes it
+    negative. log P is concave (Burridge 1981), so the cells' terms are
+    convex and the range's is not. With dz = (-1, u) and A, B = phi(z_hi)
+    / P, phi(z_lo) / P, grad log P = A dz_hi - B dz_lo, and its Hessian is
+    -z_hi A dz_hi dz_hi' + z_lo B dz_lo dz_lo' less that gradient squared.
+    """
+    z_lo, z_hi = beta * u_lo - alpha, beta * u_hi - alpha
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Each mass from the side of 0 where its two cdf values do not cancel.
+        flip = z_lo + z_hi > 0
+        p = ndtr(np.where(flip, -z_lo, z_hi)) - ndtr(np.where(flip, -z_hi, z_lo))
+        a = np.exp(-0.5 * z_hi * z_hi - _LOG_SQRT_2PI) / p
+        b = np.exp(-0.5 * z_lo * z_lo - _LOG_SQRT_2PI) / p
+        g1, g2 = b - a, a * u_hi - b * u_lo
+        za, zb = z_hi * a, z_lo * b
+        h = (zb - za - g1 * g1, za * u_hi - zb * u_lo - g1 * g2,
+             zb * u_lo * u_lo - za * u_hi * u_hi - g2 * g2)
+        terms = [float(weight @ t) for t in (np.log(p), g1, g2, *h)]
+    if not all(map(math.isfinite, terms)):
+        return math.inf, None, None
+    return terms[0], terms[1:3], terms[3:]
 
 
 def _binned_ks(model, edges, counts) -> float:
@@ -1159,15 +1188,17 @@ def _fit_binned_powerlaw(edges, counts, n, min_tail) -> FitReport:
 
 
 def _binned_powerlaw_gamma(edges, counts, xmin):
-    from scipy import optimize
-
+    """(gamma, KS) of the power law on [xmin, top edge] whose cell masses
+    are most likely for the counts, or None: a grid's bracket, then Newton
+    steps on the derivative, bisecting where one would leave the bracket.
+    """
     log_edges = np.log(edges / xmin)
 
     def negloglik(gamma):
         raw = -np.expm1((1.0 - gamma) * log_edges)
         probs = np.diff(raw / raw[-1])  # of the cdf conditioned on [xmin, top edge]
         if np.any(probs[counts > 0] <= 0):
-            return 1e300  # finite so the bounded scalar search stays defined
+            return 1e300
         return _binned_negloglik(np.log(np.maximum(probs, 1e-300)), counts)
 
     # Coarse grid first: the objective saturates (tail probabilities
@@ -1179,11 +1210,39 @@ def _binned_powerlaw_gamma(edges, counts, xmin):
         return None
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, grid.size - 1)]
-    res = optimize.minimize_scalar(
-        negloglik, bounds=(lo, hi), method="bounded", options={"xatol": 1e-8}
-    )
-    if not res.success or not np.isfinite(res.fun):
-        return None
-    gamma = float(res.x)
-    return gamma, _binned_ks(PowerLawModel(gamma, xmin), edges, counts)
+    full = counts > 0
+    c = counts[full]
 
+    def slope(gamma):
+        """negloglik's first two derivatives, by d raw / d gamma = ln r * q
+        and d2 raw / d gamma2 = -(ln r)**2 * q, r = e / xmin, q = r**(1 - gamma)."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            raw = -np.expm1((1.0 - gamma) * log_edges)
+            dr = log_edges * np.exp((1.0 - gamma) * log_edges)
+            d2r = -log_edges * dr
+            s1 = np.diff(dr)[full] / np.diff(raw)[full]
+            s2 = np.diff(d2r)[full] / np.diff(raw)[full] - s1 * s1
+        t1 = dr[-1] / raw[-1]
+        return c.sum() * t1 - c @ s1, c.sum() * (d2r[-1] / raw[-1] - t1 * t1) - c @ s2
+
+    gamma = float(grid[k])
+    for _ in range(100):  # bisection alone would end within 60
+        d1, d2 = slope(gamma)
+        if d1 < 0:
+            lo = gamma
+        else:  # d1 >= 0, or NaN where a steep gamma leaves a cell no mass
+            hi = gamma
+        step = gamma - d1 / d2 if d2 > 0 else math.nan
+        if abs(step - gamma) <= 2.0**-26 * gamma:
+            # Newton's error after a step is of the order of the step
+            # squared, here of gamma's rounding: take it and stop.
+            gamma = float(min(max(step, lo), hi))
+            break
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if step == gamma:
+            break
+        gamma = float(step)
+    else:
+        return None
+    return gamma, _binned_ks(PowerLawModel(gamma, xmin), edges, counts)

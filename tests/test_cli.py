@@ -582,13 +582,13 @@ class TestTruncatedFitExtremes:
 
 
 class TestStartup:
-    """No subcommand imports scipy: the normal kernels are tailfit.normal's
-    and the truncated fit is solved with numpy; only the binned fits, which
-    no subcommand runs, import scipy.optimize. Nor does any subcommand load
-    numpy.ma, which nothing of tailfit needs. numpy.random is loaded only
-    by the subcommands that draw (simulate, and fit's bootstrap), and the
-    bootstrap loads it before it forks its workers: one pool for the
-    replicates of every family fit fitted."""
+    """Nothing of tailfit imports scipy: the normal kernels are
+    tailfit.normal's and every fit, the binned ones too, is solved with
+    numpy. Nor does any subcommand load numpy.ma, which nothing of tailfit
+    needs. numpy.random is loaded only by the subcommands that draw
+    (simulate, and fit's bootstrap), and the bootstrap loads it before it
+    forks its workers: one pool for the replicates of every family fit
+    fitted."""
 
     @pytest.fixture(scope="class")
     def workdir(self, tmp_path_factory):
@@ -647,6 +647,32 @@ class TestStartup:
         # fit runs the power-law and the lognormal replicates in one bootstrap.
         loaded = [True] if "--bootstrap" in (args or []) else []
         assert done.stdout == f"False\n[] False {draws} {loaded}\n"
+
+    def test_binned_fits_run_with_scipy_refused(self, workdir):
+        # A finder ahead of every other refuses scipy, in the forked
+        # bootstrap workers too, which inherit it.
+        code = (
+            "import sys\n"
+            "class Refuse:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'scipy':\n"
+            "            raise ImportError(f'{name} is refused')\n"
+            "sys.meta_path.insert(0, Refuse())\n"
+            "import numpy as np\n"
+            "from tailfit import DurationSample, SeededGenerator, bin_log, fit_binned\n"
+            "from tailfit.estimation import bootstrap_pvalue_binned\n"
+            "h = bin_log(DurationSample(np.loadtxt('readme.txt')), 5)\n"
+            "pl, ln = fit_binned(h, 'powerlaw'), fit_binned(h, 'lognormal')\n"
+            "result = bootstrap_pvalue_binned(h, ln, 100, SeededGenerator(5), workers=2)\n"
+            "print(pl.family, ln.family, len(result.ks), result.failed,\n"
+            "      [m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tailfit.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", code], cwd=workdir, env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "powerlaw lognormal 100 0 []\n"
 
 
 class TestCompare:

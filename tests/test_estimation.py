@@ -172,6 +172,82 @@ def reference_binned_powerlaw_ks(edges, counts, xmin, gamma):
     return float(np.max(np.abs(emp_cum - model_cum)))
 
 
+def reference_binned_lognormal(edges, counts):
+    """The binned lognormal fit as first written, by scipy's Nelder-Mead in
+    (mu, ln sigma): its result, its objective, the negative log-likelihood
+    of (mu, sigma), and the cdf at the edges that the objective takes."""
+    from scipy import optimize
+    from scipy.special import ndtr
+
+    log_edges = np.log(edges)
+
+    def edge_cdf(mu, sigma):
+        return ndtr((log_edges - mu) / sigma)
+
+    def negloglik(mu, sigma):
+        cdf = edge_cdf(mu, sigma)
+        probs, total = np.diff(cdf), cdf[-1] - cdf[0]
+        if total <= 0 or np.any(probs[counts > 0] <= 0):
+            return np.inf
+        with np.errstate(divide="ignore"):
+            return estimation._binned_negloglik(np.log(probs) - math.log(total), counts)
+
+    centers = np.log(np.sqrt(edges[:-1] * edges[1:]))
+    w = counts / counts.sum()
+    mu0 = float(np.sum(w * centers))
+    sigma0 = max(float(np.sqrt(np.sum(w * (centers - mu0) ** 2))), 1e-3)
+    res = optimize.minimize(
+        lambda t: negloglik(t[0], math.exp(t[1])) if -20.0 < t[1] < 20.0 else np.inf,
+        x0=np.array([mu0, math.log(sigma0)]), method="Nelder-Mead",
+        options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 4000},
+    )
+    return res, negloglik, edge_cdf
+
+
+def reference_binned_powerlaw(edges, counts, xmin):
+    """The binned power-law exponent at xmin as first written, by the grid
+    and scipy's bounded Brent in its bracket, or None where the grid finds
+    no gamma; with the objective both share, the negative log-likelihood,
+    and the conditioned cdf at the edges that it takes."""
+    from scipy import optimize
+
+    log_edges = np.log(edges / xmin)
+
+    def edge_cdf(gamma):
+        raw = -np.expm1((1.0 - gamma) * log_edges)
+        return raw / raw[-1]
+
+    def negloglik(gamma):
+        probs = np.diff(edge_cdf(gamma))
+        if np.any(probs[counts > 0] <= 0):
+            return 1e300
+        return estimation._binned_negloglik(np.log(np.maximum(probs, 1e-300)), counts)
+
+    grid = 1.0 + np.geomspace(1e-3, 24.0, 80)
+    values = np.array([negloglik(g) for g in grid])
+    k = int(np.argmin(values))
+    if values[k] >= 1e300:
+        return None, negloglik, edge_cdf
+    bounds = (grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)])
+    res = optimize.minimize_scalar(
+        negloglik, bounds=bounds, method="bounded", options={"xatol": 1e-8}
+    )
+    return float(res.x), negloglik, edge_cdf
+
+
+def nll_rounding(cdf, counts, nll) -> float:
+    """How far rounding can move a binned negative log-likelihood ``nll``
+    whose cell masses are differences of the cdf values ``cdf`` at the
+    edges. Each value is within two units in the last place of 1, so a
+    mass P is off by up to 4 eps, and the term of a cell of c counts,
+    c log P, by 4 eps c / P; the range's mass weighs the n counts. Summing
+    the J cells' terms adds up to J eps nll."""
+    eps = np.finfo(float).eps
+    full = counts > 0
+    masses = np.sum(counts[full] / np.diff(cdf)[full]) + counts.sum() / (cdf[-1] - cdf[0])
+    return 4.0 * eps * masses + counts.size * eps * abs(nll)
+
+
 def same_float(a, b) -> bool:
     return a == b or (math.isnan(a) and math.isnan(b))
 
@@ -1109,15 +1185,119 @@ class TestBinnedFit:
             reference_binned_powerlaw_ks(edges, counts, edges[0], gamma),
         )
 
+    @pytest.fixture(scope="class")
+    def criterion2_histograms(self):
+        """The histograms of acceptance criterion 2: hour-quantized
+        lognormal samples in 5 log bins a decade."""
+        hists = []
+        for seed in range(20):
+            s = sample_lognormal(
+                LognormalModel(10.45, 2.75), 41184, SeededGenerator(1000 + seed)
+            )
+            hists.append(bin_log(quantize(s, 3600.0)[0], 5))
+        return hists
+
+    def check_against_reference(self, counts, negloglik, edge_cdf, new, old):
+        """The new fit's negative log-likelihood is at most the old one's,
+        within the rounding of both evaluations."""
+        bound = sum(nll_rounding(edge_cdf(*p), counts, negloglik(*p)) for p in (new, old))
+        assert negloglik(*new) <= negloglik(*old) + bound
+
+    def check_lognormal_against_reference(self, h):
+        res, negloglik, edge_cdf = reference_binned_lognormal(h.edges, h.counts)
+        old = (res.x[0], math.exp(res.x[1]))
+        self.check_against_reference(
+            h.counts, negloglik, edge_cdf, fit_binned(h, "lognormal").params, old
+        )
+
+    def check_powerlaw_against_reference(self, h, j):
+        edges, counts, xmin = h.edges[j:], h.counts[j:], float(h.edges[j])
+        gamma, negloglik, edge_cdf = reference_binned_powerlaw(edges, counts, xmin)
+        fit = estimation._binned_powerlaw_gamma(edges, counts, xmin)
+        if gamma is None:
+            assert fit is None
+            return
+        self.check_against_reference(counts, negloglik, edge_cdf, fit[:1], (gamma,))
+
+    def test_lognormal_as_likely_as_nelder_mead(self, criterion2_histograms):
+        for h in criterion2_histograms:
+            self.check_lognormal_against_reference(h)
+
+    def test_powerlaw_as_likely_as_brent_at_every_cutoff(self, criterion2_histograms):
+        for h in criterion2_histograms:
+            for j in range(h.counts.size - 2):
+                if h.counts[j] > 0 and h.counts[j:].sum() >= 350:
+                    self.check_powerlaw_against_reference(h, j)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.floats(-5.0, 15.0),
+        st.floats(0.2, 4.0),
+        st.integers(200, 50_000),
+        st.integers(1, 12),
+    )
+    def test_drawn_histograms_as_likely_as_references(self, seed, mu, sigma, n, per_decade):
+        values = np.exp(np.random.default_rng(seed).normal(mu, sigma, n))
+        h = bin_log(DurationSample(values), per_decade)
+        assume(np.count_nonzero(h.counts) >= 3)
+        self.check_lognormal_against_reference(h)
+        self.check_powerlaw_against_reference(h, int(np.argmax(h.counts)))
+
+    def test_lognormal_on_binned_power_law_raises_without_warning(self):
+        # The likelihood rises toward a lognormal far in its own upper tail.
+        # On seed 4 the fit does not certify within its 50 steps (12 ms);
+        # Nelder-Mead took its 4000 iterations there (1.3-1.6 s), with a
+        # RuntimeWarning from inside scipy, before it raised. On seed 0 it
+        # certifies a fit whose float64 cdf gives the range no mass.
+        for seed, message in [(4, "not certified"), (0, "leaves the range no mass")]:
+            s = sample_powerlaw(PowerLawModel(1.8, 1.0), 20_000, SeededGenerator(seed))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(FitConvergenceError, match=message):
+                    fit_binned(bin_log(s, 5), "lognormal")
+
+    def test_log_uniform_histogram(self):
+        # Log-uniform data sit on the edge of the lognormal family (sigma
+        # to infinity), so the fit's optimum is finite or not by the
+        # sample's curvature. Seed 8 has one, where Nelder-Mead ends too;
+        # seed 3 has none, and Nelder-Mead reported (mu, sigma) =
+        # (-12835, 3462), where it stopped on the flat ridge, as a success.
+        def histogram(seed):
+            values = 10 ** np.random.default_rng(seed).uniform(0, 6, 20_000)
+            return bin_log(DurationSample(values), 5)
+
+        mu, sigma = fit_binned(histogram(8), "lognormal").params
+        assert mu == pytest.approx(7.88946, abs=1e-5)
+        assert sigma == pytest.approx(25.2852, abs=1e-4)
+        with pytest.raises(FitConvergenceError, match="not certified"):
+            fit_binned(histogram(3), "lognormal")
+
+    def test_uncertified_binned_lognormal_raises_and_counts_as_failed(self, monkeypatch):
+        # No step allowed: the fit raises rather than return its start, and
+        # every bootstrap refit counts as failed.
+        values = sample_lognormal(LognormalModel(3.0, 1.0), 5_000, SeededGenerator(173))
+        h = bin_log(values, 5)
+        fit = fit_binned(h, "lognormal")
+        monkeypatch.setattr(estimation, "NEWTON_MAX_STEPS", 0)
+        with pytest.raises(FitConvergenceError, match="not certified after 0 Newton steps"):
+            fit_binned(h, "lognormal")
+        result = bootstrap_pvalue_binned(h, fit, 100, SeededGenerator(174))
+        assert result.failed == 100
+        assert result.ks == (math.inf,) * 100
+
     def test_needs_three_nonempty_bins(self):
         h = Histogram(np.array([1.0, 2.0, 4.0]), np.array([10, 20]))
         with pytest.raises(DegenerateSampleError):
             fit_binned(h, "lognormal")
 
     def test_unknown_family(self):
-        h = Histogram(np.array([1.0, 2.0, 4.0, 8.0]), np.array([1, 2, 3]))
-        with pytest.raises(ValueError):
-            fit_binned(h, "weibull")
+        # The family is checked first: with two non-empty bins this once
+        # raised DegenerateSampleError, a ValueError, for the bin count.
+        for edges, counts in [([1.0, 2.0, 4.0, 8.0], [1, 2, 3]), ([1.0, 2.0, 4.0], [10, 20])]:
+            h = Histogram(np.array(edges), np.array(counts))
+            with pytest.raises(ValueError, match="unknown family 'weibull'"):
+                fit_binned(h, "weibull")
 
     def test_binned_bootstrap_well_specified(self):
         edges = np.exp(np.linspace(0.0, 12.0, 61))
