@@ -46,6 +46,9 @@ def main(argv=None) -> int:
     except (ValueError, csv.Error) as exc:
         print(f"error: invalid-input: {exc}", file=sys.stderr)
         return EXIT_IO
+    except pool.WorkerDiedError as exc:
+        print(f"error: worker: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 def build_parser() -> argparse.ArgumentParser:

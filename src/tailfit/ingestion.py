@@ -17,15 +17,16 @@ counts of rows read and of malformed rows dropped, of any direction;
 an ``IngestSummary``. It keeps every accepted timestamp once, as two
 columns of 12 bytes per event (a float64 timestamp and an int32 actor
 code, actors numbered in first-seen order), plus one batch, so memory
-still grows with the number of events. It then takes every actor's gaps
-at once: one stable sort by actor (a radix sort of 16-bit codes when the
-actors allow; none when the log is grouped by actor already), the gaps
-in place in the stamps column, a block at a time from the end, so that
-no second event-sized float64 array exists, a mask at the actor
-boundaries, and one sort of the gaps in place, whose zero gaps then form
-a prefix that the sample leaves out. Only when some actor's stamps are
-out of file order, which is decided before any stamp is overwritten,
-are they first sorted within each actor.
+still grows with the number of events. Each batch is copied into the
+columns in place; a regular file's line count sizes them once. It then
+takes every actor's gaps at once: one stable sort by actor (a radix sort
+of 16-bit codes when the actors allow; none when the log is grouped by
+actor already), the gaps in place in the stamps column, a block at a
+time from the end, so that no second event-sized float64 array exists,
+a mask at the actor boundaries, and one sort of the gaps in place, whose
+zero gaps then form a prefix that the sample leaves out. Only when some
+actor's stamps are out of file order, which is decided before any stamp
+is overwritten, are they first sorted within each actor.
 
 Duration text holds one value per line as ``repr`` writes it. It is
 written in blocks of ``CHUNK_ROWS`` values, each laid out by
@@ -56,7 +57,7 @@ import os
 import stat
 import struct
 from array import array
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from itertools import chain, compress, count, islice
 from operator import itemgetter
@@ -72,8 +73,8 @@ BINARY_MAGIC = b"TFD1"
 CHUNK_ROWS = 8192
 # Duration texts smaller than this many bytes (of file, or of float64
 # values to format) are handled in-process. Starting two forked workers
-# took 7-20 ms on a 2-core host, so a pool pays for itself only from a few
-# MB on.
+# took 7-20 ms on a 2-core host (as a concurrent.futures executor; about
+# 5 ms forked directly), so a pool pays for itself only from a few MB on.
 POOL_MIN_BYTES = 4 << 20
 # Event CSV and duration text files are read in blocks of about this many
 # bytes. A 256 KiB block of events keeps the parser's temporaries near
@@ -103,6 +104,8 @@ class EventBatch:
     ``codes[i]`` indexes ``actors``, the names of the batch's actors in
     first-seen order, each with an event. ``rows`` counts the batch's rows,
     of any direction, and ``dropped`` the malformed ones among them.
+    ``events_bound``, where known, bounds the events of all the batches of
+    the batch's stream together (a regular file's line count).
     """
 
     timestamps: np.ndarray  # float64
@@ -110,6 +113,7 @@ class EventBatch:
     actors: list[str]
     rows: int
     dropped: int
+    events_bound: int | None = None
 
 
 def parse_events(stream: TextIO, direction: str | None = None) -> Iterator[EventBatch]:
@@ -134,9 +138,17 @@ def parse_events(stream: TextIO, direction: str | None = None) -> Iterator[Event
     ``csv.reader`` like any other stream; so is the rest of the file from
     the block of its first ``"`` on, since a quoted field may hold a
     newline. The events, in file order, and the counts are the same
-    either way.
+    either way. Each batch of a regular file carries the file's line count
+    as its ``events_bound``.
     """
     file = _regular_file(stream)
+    bound = _line_bound(*file) if file is not None else None
+    for batch in _parsed_events(stream, direction, file):
+        yield batch if bound is None else replace(batch, events_bound=bound)
+
+
+def _parsed_events(stream, direction, file) -> Iterator[EventBatch]:
+    """``parse_events``' batches; ``file`` is ``_regular_file(stream)``."""
     blocks = _line_blocks(file[0], 0, file[1]) if file is not None else iter(())
     first = next(blocks, b"")
     cut = first.find(b"\n") + 1 or len(first)
@@ -333,22 +345,37 @@ def check_malformed_fraction(summary: IngestSummary) -> None:
 def _columns(batches, summary):
     """Every event as global actor codes (first-seen order, as each batch
     lists its actors) and timestamps, and the actor names. Adds each
-    batch's row counts into ``summary``."""
-    stamps, codes = array("d"), array("i")
+    batch's row counts into ``summary``.
+
+    Each batch is copied into the columns in place. They are sized once
+    from the first batch's ``events_bound`` where it has one, and the
+    pages past the events are never touched; else (a stream) they grow to
+    a sixteenth past the events so far whenever a batch does not fit.
+    Either way they are cut to the events at the end, in place."""
+    stamps, codes = np.empty(0), np.empty(0, np.int32)
     names: dict[str, int] = {}
+    end = 0
     for batch in batches:
         summary.events_read += batch.rows
         summary.events_dropped += batch.dropped
         to_global = np.array(
             [names.setdefault(actor, len(names)) for actor in batch.actors], np.int32
         )
-        codes.frombytes(memoryview(to_global[batch.codes]).cast("B"))
-        stamps.frombytes(memoryview(batch.timestamps).cast("B"))
-    return (
-        np.frombuffer(codes, dtype=np.int32),
-        np.frombuffer(stamps, dtype=np.float64),
-        list(names),
-    )
+        hi = end + batch.codes.size
+        if hi > stamps.size:
+            size = max(hi + hi // 16, batch.events_bound or 0)
+            if end:
+                stamps.resize(size, refcheck=False)
+                codes.resize(size, refcheck=False)
+            else:
+                # Not resized: resize zero-fills, touching every page.
+                stamps, codes = np.empty(size), np.empty(size, np.int32)
+        codes[end:hi] = to_global[batch.codes]
+        stamps[end:hi] = batch.timestamps
+        end = hi
+    stamps.resize(end, refcheck=False)
+    codes.resize(end, refcheck=False)
+    return codes, stamps, list(names)
 
 
 def interevent_durations(events: Iterable[EventBatch]) -> tuple[DurationSample, IngestSummary]:

@@ -451,6 +451,32 @@ class TestFit:
         row = json.loads(outputs[0])
         assert row["p"] is not None and row["loglik_p"] is not None
 
+    def test_dead_worker_is_an_error(self, tmp_path, capsys, monkeypatch):
+        # A bootstrap worker that dies, as if the kernel had killed it for
+        # want of memory, ends the command with an error line, not a
+        # traceback, and leaves no worker behind.
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
+        sample = self.make_sample(tmp_path, capsys, kind="lognormal", n=800)
+        parent = os.getpid()
+
+        def refit(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(9)
+            return fit_lognormal(*args, **kwargs)
+
+        fit_lognormal = estimation.fit_lognormal
+        monkeypatch.setattr(estimation, "fit_lognormal", refit)
+        code, out, err = run(
+            ["--threads", "2", "fit", "--input", str(sample), "--dist", "lognormal",
+             "--bootstrap", "100", "--seed", "4"],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: worker: worker process ")
+        assert "exited with code 9" in err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_fixed_cutoff_lr_matches_compare(self, tmp_path, capsys):
         # fit --dist both --xmin and compare --xmin make one comparison each,
         # both by compare_families at that cutoff.
@@ -585,10 +611,11 @@ class TestStartup:
     """Nothing of tailfit imports scipy: the normal kernels are
     tailfit.normal's and every fit, the binned ones too, is solved with
     numpy. Nor does any subcommand load numpy.ma, which nothing of tailfit
-    needs. numpy.random is loaded only by the subcommands that draw
-    (simulate, and fit's bootstrap), and the bootstrap loads it before it
-    forks its workers: one pool for the replicates of every family fit
-    fitted."""
+    needs, or multiprocessing or concurrent.futures: the worker pool forks
+    its workers with os.fork, at --threads 2 too. numpy.random is loaded
+    only by the subcommands that draw (simulate, and fit's bootstrap), and
+    the bootstrap loads it before it forks its workers: one pool for the
+    replicates of every family fit fitted."""
 
     @pytest.fixture(scope="class")
     def workdir(self, tmp_path_factory):
@@ -637,7 +664,8 @@ class TestStartup:
             code += f"assert tailfit.cli.main({args!r}) == 0\n"
         code += (
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),"
-            " 'numpy.ma' in sys.modules, 'numpy.random' in sys.modules, loaded)\n"
+            " 'numpy.ma' in sys.modules, 'numpy.random' in sys.modules, loaded,"
+            " [m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])\n"
         )
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tailfit.__file__)))
         done = subprocess.run(
@@ -646,7 +674,7 @@ class TestStartup:
         assert done.returncode == 0, done.stderr
         # fit runs the power-law and the lognormal replicates in one bootstrap.
         loaded = [True] if "--bootstrap" in (args or []) else []
-        assert done.stdout == f"False\n[] False {draws} {loaded}\n"
+        assert done.stdout == f"False\n[] False {draws} {loaded} []\n"
 
     def test_binned_fits_run_with_scipy_refused(self, workdir):
         # A finder ahead of every other refuses scipy, in the forked

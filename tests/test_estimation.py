@@ -9,7 +9,6 @@ import os
 import re
 import tracemalloc
 import warnings
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -1017,7 +1016,7 @@ class TestBootstrapWorkers:
                 os._exit(3)  # as if the worker had been killed
             return 0.0
 
-        with pytest.raises(BrokenProcessPool):
+        with pytest.raises(pool.WorkerDiedError, match="exited with code 3"):
             _bootstrap([(replicate, 0.0)], self.REPS, SeededGenerator(0), 2)
 
     def test_nonconverged_refits_counted(self, monkeypatch):

@@ -1,5 +1,6 @@
 """Event-log parsing and inter-event duration extraction."""
 import csv
+import dataclasses
 import io
 import math
 import os
@@ -242,6 +243,23 @@ class TestIntereventDurations:
         np.testing.assert_array_equal(sample.values, np.sort(gaps[gaps > 0]))
         assert summary.durations_emitted + summary.zero_gaps_dropped == n - actors
         assert peak <= 12 * n * 17 // 16 + 16 * ingestion.COUNT_BLOCK + 32 * ingestion.CHUNK_ROWS
+
+    def test_columns_sized_from_any_bound(self, tmp_path):
+        # A regular file's batches carry its line count, which sizes the
+        # columns once; a bound too small, or none, lets them grow.
+        text = "actor,timestamp\n" + "".join(f"u{i % 7},{i}\n" for i in range(5000))
+        path = tmp_path / "events.csv"
+        path.write_text(text)
+        with mock.patch.object(ingestion, "BLOCK_BYTES", 4096), open(path) as fh:
+            batches = list(parse_events(fh))
+        assert len(batches) > 5 and {b.events_bound for b in batches} == {5002}
+        want = interevent_durations(batches)
+        for bound in (None, 1, 4000):
+            got = interevent_durations(
+                [dataclasses.replace(b, events_bound=bound) for b in batches]
+            )
+            np.testing.assert_array_equal(got[0].values, want[0].values)
+            assert got[1] == want[1]
 
     @pytest.mark.parametrize("grouped", [True, False])
     @pytest.mark.parametrize("late", [0, 1, 2])

@@ -1,7 +1,14 @@
-"""The fork pool's allocator setting: made in each worker, never in the
-process that runs the pool, and without effect on any result."""
+"""The fork pool: its contract (results in range order, a task's own
+exception, a clear error for a dead worker or an unpicklable result, and
+no worker left behind however the caller ends), and its allocator
+setting, made in each worker, never in the process that runs the pool,
+and without effect on any result."""
 import ctypes
 import os
+import pickle
+import subprocess
+import sys
+import threading
 
 import pytest
 
@@ -102,3 +109,109 @@ def test_outputs_equal_at_one_and_two_workers(tmp_path, monkeypatch):
         results.append((boot, path.read_bytes(), back.values.tobytes()))
     assert results[1] == results[0]
     assert results[0][2] == s.values.tobytes()
+
+
+def test_one_worker_where_processes_cannot_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    assert pool.usable_workers(2) == 1
+    ranges = [(0, 1), (1, 2)]
+    assert list(pool.run_ranges(lambda lo, hi: (lo, os.getpid()), ranges, 2)) == [
+        (0, os.getpid()), (1, os.getpid())
+    ]
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def test_output_buffered_before_the_fork_is_written_once():
+    # Block-buffered standard output, as in a pipe: what the parent printed
+    # before the workers forked is not flushed again by each worker, and
+    # what a worker prints is not lost.
+    code = (
+        "from tailfit import pool\n"
+        "pool._usable_cpus = lambda: 2\n"
+        "print('before')\n"
+        "def task(lo, hi):\n"
+        "    print(f'range {lo}')\n"
+        "list(pool.run_ranges(task, [(0, 1), (1, 2)], 2))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pool.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert sorted(done.stdout.splitlines()) == ["before", "range 0", "range 1"]
+
+
+def test_task_exception_keeps_its_type():
+    def task(lo, hi):
+        if lo == 3:
+            raise ValueError(f"bad range {lo}..{hi}")
+        return lo
+
+    results = pool.run_ranges(task, [(i, i + 1) for i in range(6)], 2)
+    assert [next(results) for _ in range(3)] == [0, 1, 2]
+    with pytest.raises(ValueError, match="bad range 3..4"):
+        next(results)
+    assert no_child_left()
+
+
+def test_early_close_leaves_no_child():
+    def task(lo, hi):
+        return lo
+
+    results = pool.run_ranges(task, [(i, i + 1) for i in range(100)], 2)
+    assert next(results) == 0
+    results.close()
+    assert no_child_left()
+
+
+def test_more_ranges_than_the_index_pipe_holds():
+    # 80 000 bytes of indices, more than a 64 KiB pipe buffer holds.
+    ranges = [(i, i + 1) for i in range(10_000)]
+    assert list(pool.run_ranges(lambda lo, hi: lo, ranges, 2)) == list(range(10_000))
+    assert no_child_left()
+
+
+def test_large_results_come_back_whole():
+    # Each result is far larger than a pipe's buffer.
+    def task(lo, hi):
+        return bytes([lo]) * (1 << 20)
+
+    results = list(pool.run_ranges(task, [(i, i + 1) for i in range(6)], 2))
+    assert results == [bytes([i]) * (1 << 20) for i in range(6)]
+    assert no_child_left()
+
+
+@pytest.mark.parametrize("outcome", ["result", "exception"])
+def test_unpicklable_outcome_is_a_clear_error(outcome):
+    def task(lo, hi):
+        if outcome == "result":
+            return threading.Lock()
+        raise ValueError(threading.Lock())
+
+    message = rf"the {outcome}.* of range \(0, 1\) cannot be pickled"
+    with pytest.raises(pickle.PicklingError, match=message):
+        list(pool.run_ranges(task, [(0, 1), (1, 2)], 2))
+    assert no_child_left()
+
+
+@pytest.mark.parametrize(
+    "at, end, message",
+    [
+        (0, lambda: os._exit(7), "exited with code 7"),
+        (5, lambda: os._exit(7), "exited with code 7"),  # the other worker goes on
+        (1, lambda: os.kill(os.getpid(), 9), "killed by signal 9"),
+    ],
+)
+def test_dead_worker_raises_and_leaves_no_child(at, end, message):
+    def task(lo, hi):
+        if lo == at:
+            end()
+        return lo
+
+    with pytest.raises(pool.WorkerDiedError, match=message):
+        list(pool.run_ranges(task, [(i, i + 1) for i in range(10)], 2))
+    assert no_child_left()
